@@ -188,14 +188,8 @@ def _cmd_experiment_ea(args) -> int:
                 for n, k0, k1 in rows
             ],
             "limits": {
-                "graph_algebra": {
-                    "k0": _group_json(EA_LIMITS["graph_algebra"]["k0"]),
-                    "k1": _group_json(EA_LIMITS["graph_algebra"]["k1"]),
-                },
-                "exel_laca": {
-                    "k0": _group_json(EA_LIMITS["exel_laca"]["k0"]),
-                    "k1": _group_json(EA_LIMITS["exel_laca"]["k1"]),
-                },
+                name: {k: _group_json(g) for k, g in groups.items()}
+                for name, groups in EA_LIMITS.items()
             },
             "note": EA_NOTE,
         }
@@ -221,8 +215,8 @@ def _cmd_experiment_ea(args) -> int:
 
 def _cmd_harness(args) -> int:
     params = RandomGraphParams(seed=args.seed, max_vertices=args.max_vertices)
-    problems = verify_catalog()
     report = run_properties(params, args.count)
+    problems = verify_catalog()
     if args.json:
         print(_dumps(report_json(report, problems)))
     else:

@@ -19,10 +19,9 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .graphs import Graph, INF
+from .graphs import INF, VERTEX_ID, Graph
 from .intlinalg import IntMatrix
 
-_ID = re.compile(r"[A-Za-z0-9_$]+\Z")
 _NUM = re.compile(r"[0-9]+\Z")
 _INT = re.compile(r"-?[0-9]+\Z")
 
@@ -30,7 +29,7 @@ HEADER = "# directed multigraph"
 
 
 def _check_id(tok: str, ln: int) -> str:
-    if not _ID.match(tok):
+    if not VERTEX_ID.match(tok):
         raise ParseError(ln, f"invalid vertex id: {tok!r}")
     return tok
 

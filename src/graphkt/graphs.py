@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .intlinalg import IntMatrix
 
-_TOKEN = re.compile(r"[A-Za-z0-9_$]+\Z")
+# Vertex ids, shared with the graph file parser.
+VERTEX_ID = re.compile(r"[A-Za-z0-9_$]+\Z")
 
 
 class _Infinity:
@@ -51,21 +53,25 @@ class Graph:
     infinite graphs); their rows are never read by the invariant formulas.
     """
 
-    __slots__ = ("vertices", "declared_singular", "_edges", "_index")
+    __slots__ = ("vertices", "declared_singular", "_edges", "_index", "_out")
 
     def __init__(self, vertices=(), edges=None, declared_singular=()):
         vlist: list[str] = []
         index: dict[str, int] = {}
         for v in vertices:
-            if not isinstance(v, str) or not _TOKEN.match(v):
+            if not isinstance(v, str) or not VERTEX_ID.match(v):
                 raise ValueError(f"invalid vertex id: {v!r}")
             if v in index:
                 raise ValueError(f"duplicate vertex: {v!r}")
             index[v] = len(vlist)
             vlist.append(v)
-        emap = {}
-        for (src, dst), mult in (edges or {}).items():
-            if src not in index:
+        emap = dict(edges or {})
+        # Targets of each vertex's out-edges, by source index, in edge
+        # order; out_edges sorts one list into vertex order when asked.
+        out: list[list[str]] = [[] for _ in vlist]
+        for (src, dst), mult in emap.items():
+            s = index.get(src)
+            if s is None:
                 raise ValueError(f"edge source not declared: {src!r}")
             if dst not in index:
                 raise ValueError(f"edge target not declared: {dst!r}")
@@ -73,7 +79,7 @@ class Graph:
                 raise ValueError(
                     f"invalid multiplicity for edge {src}->{dst}: {mult!r}"
                 )
-            emap[(src, dst)] = mult
+            out[s].append(dst)
         declared = frozenset(declared_singular)
         for v in declared:
             if v not in index:
@@ -82,6 +88,7 @@ class Graph:
         self.declared_singular = declared
         self._edges = emap
         self._index = index
+        self._out = out
 
     @property
     def edges(self) -> dict:
@@ -96,7 +103,9 @@ class Graph:
         """(target, multiplicity) pairs for v, targets in vertex order."""
         if v not in self._index:
             raise ValueError(f"unknown vertex: {v!r}")
-        return [(w, self._edges[(v, w)]) for w in self.vertices if (v, w) in self._edges]
+        targets = self._out[self._index[v]]
+        targets.sort(key=self._index.__getitem__)
+        return [(w, self._edges[(v, w)]) for w in targets]
 
     def index(self, v: str) -> int:
         if v not in self._index:
@@ -139,8 +148,8 @@ class BlockDecomposition:
 def out_multiplicity(g: Graph, v: str):
     """Total number of edges leaving v, absorbing to INF."""
     total = 0
-    for _w, m in g.out_edges(v):
-        total = total + m
+    for w in g._out[g.index(v)]:
+        total = total + g._edges[(v, w)]
     return total
 
 
@@ -159,26 +168,27 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     singular = singular_vertices(g)
     sset = set(singular)
     regular = [v for v in g.vertices if v not in sset]
-    b_rows = []
-    c_rows = []
-    for v in regular:
-        brow = []
-        for w in regular:
-            m = g.multiplicity(v, w)
-            assert m is not INF, "regular vertex with an infinite edge"
-            brow.append(m)
-        crow = []
-        for w in singular:
-            m = g.multiplicity(v, w)
-            assert m is not INF, "regular vertex with an infinite edge"
-            crow.append(m)
-        b_rows.append(brow)
-        c_rows.append(crow)
+    nr, ns = len(regular), len(singular)
+    reg_col = {v: k for k, v in enumerate(regular)}
+    sing_col = {v: k for k, v in enumerate(singular)}
+
+    def block_rows(block_col, width):
+        # One row per regular vertex, filled from its out-edges.
+        for v in regular:
+            row = [0] * width
+            for w in g._out[g._index[v]]:
+                k = block_col.get(w)
+                if k is not None:
+                    m = g._edges[(v, w)]
+                    assert m is not INF, "regular vertex with an infinite edge"
+                    row[k] = m
+            yield row
+
     return BlockDecomposition(
         tuple(regular),
         tuple(singular),
-        IntMatrix.from_rows(b_rows, cols=len(regular)),
-        IntMatrix.from_rows(c_rows, cols=len(singular)),
+        IntMatrix._trusted(nr, nr, chain.from_iterable(block_rows(reg_col, nr))),
+        IntMatrix._trusted(nr, ns, chain.from_iterable(block_rows(sing_col, ns))),
     )
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from .graphio import emit_graph
 from .graphs import Graph, INF, block_decomposition, singular_vertices
-from .intlinalg import AbelianGroup, IntMatrix, cokernel, invariant_factors
+from .intlinalg import AbelianGroup, IntMatrix, cokernel, cokernel_of_factors, invariant_factors
 from .ktheory import corollary_applies, k_groups, row_matrix
 from .tails import desingularize
 
@@ -144,7 +144,12 @@ def truncation_scan(
     if not singular_vertices(g):
         return ScanResult("skip")
     target = k_groups(g)
-    goal = (target.k0, target.k1)
+    return _scan(g, (target.k0, target.k1), budget, window, orderings)
+
+
+def _scan(g: Graph, goal: tuple, budget: int, window: int, orderings) -> ScanResult:
+    """The scan of :func:`truncation_scan` for a graph with singular
+    vertices whose K-groups ``goal`` are already known."""
     memo: dict[int, tuple] = {}
 
     def at(n: int) -> tuple:
@@ -195,19 +200,17 @@ class HarnessReport:
 
 
 def _check_p4(g: Graph, result) -> str | None:
+    # The full transposed vertex matrix minus the identity, built from the
+    # edge map alone, independently of block_decomposition.
     n = len(g.vertices)
-    full = IntMatrix.from_rows(
-        [[g.multiplicity(v, w) for w in g.vertices] for v in g.vertices], cols=n
-    )
-    delta = IntMatrix.from_rows(
-        [
-            [full[c, r] - (1 if r == c else 0) for c in range(n)]
-            for r in range(n)
-        ],
-        cols=n,
-    )
-    d = invariant_factors(delta)
-    k0 = AbelianGroup(n - len(d), tuple(x for x in d if x >= 2))
+    pos = {v: k for k, v in enumerate(g.vertices)}
+    delta = [0] * (n * n)
+    for k in range(n):
+        delta[k * n + k] = -1
+    for (v, w), m in g.edges.items():
+        delta[pos[w] * n + pos[v]] += m
+    d = invariant_factors(IntMatrix(n, n, delta))
+    k0 = cokernel_of_factors(n, d)
     k1 = AbelianGroup(n - len(d))
     if result.k0 != k0 or result.k1 != k1:
         return f"direct vertex-matrix result ({k0}, {k1}) != ({result.k0}, {result.k1})"
@@ -268,7 +271,8 @@ def _check_graph(g: Graph, rng: random.Random) -> dict:
         outcomes["P5"] = ("skip", None)
         outcomes["P6"] = ("skip", None)
         return outcomes
-    scan = truncation_scan(g)
+    goal = (result.k0, result.k1)
+    scan = _scan(g, goal, SCAN_BUDGET, SCAN_WINDOW, None)
     if scan.status == "stable":
         outcomes["P5"] = ("pass", None)
     elif scan.status == "mismatch":
@@ -294,7 +298,7 @@ def _check_graph(g: Graph, rng: random.Random) -> dict:
     elif scan.status != "stable":
         outcomes["P6"] = ("skip", "default ordering did not stabilize")
     else:
-        other = truncation_scan(g, orderings=permuted)
+        other = _scan(g, goal, SCAN_BUDGET, SCAN_WINDOW, permuted)
         if other.status == "stable" and other.value == scan.value:
             outcomes["P6"] = ("pass", None)
         elif other.status == "inconclusive":
@@ -310,6 +314,8 @@ def _check_graph(g: Graph, rng: random.Random) -> dict:
 
 def run_properties(params: RandomGraphParams, count: int) -> HarnessReport:
     """Generate ``count`` graphs and evaluate P1..P6 on each."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     stats = {name: PropertyStats(name, desc) for name, desc in _PROPERTIES}
     for i in range(count):
         seed_i = derive_seed(params.seed, i)
@@ -339,10 +345,6 @@ def run_properties(params: RandomGraphParams, count: int) -> HarnessReport:
                     {"seed": seed_i, "graph": emit_graph(g), "detail": detail}
                 )
     return HarnessReport(params, count, stats)
-
-
-def _group_json(g: AbelianGroup) -> dict:
-    return {"rank": g.free_rank, "torsion": list(g.torsion)}
 
 
 def report_json(report: HarnessReport, catalog_problems: list) -> dict:

@@ -9,6 +9,9 @@ normal form of finitely generated abelian groups are read off from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+from .sparse import eliminate_units
 
 
 class IntMatrix:
@@ -32,6 +35,16 @@ class IntMatrix:
         self.rows = rows
         self.cols = cols
         self._data = data
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries) -> "IntMatrix":
+        """Matrix over ``rows * cols`` row-major entries that are already
+        known to be ints, without the per-entry checks of the constructor."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._data = tuple(entries)
+        return m
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "IntMatrix":
@@ -68,11 +81,8 @@ class IntMatrix:
         return [list(self._data[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self._data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        c, data = self.cols, self._data
+        return IntMatrix._trusted(c, self.rows, chain.from_iterable(data[j::c] for j in range(c)))
 
     def diagonal(self) -> tuple:
         return tuple(self[i, i] for i in range(min(self.rows, self.cols)))
@@ -345,10 +355,17 @@ def invariant_factors(m: IntMatrix) -> tuple:
     """Nonzero diagonal d1 | d2 | ... of the Smith form, without transforms.
 
     Cheaper than :func:`snf` when only ranks and cokernels are needed.
+    Unit pivots are eliminated sparsely first (each is an invariant factor
+    1); the remaining rows and columns go through the dense elimination.
     """
-    sm = m.to_rows()
-    rank = _smith(sm, m.rows, m.cols, None, None)
-    return tuple(sm[k][k] for k in range(rank))
+    units, sm, nc = eliminate_units(m.rows, m.cols, m._data)
+    rank = _smith(sm, len(sm), nc, None, None)
+    return (1,) * units + tuple(sm[k][k] for k in range(rank))
+
+
+def cokernel_of_factors(rows: int, factors) -> AbelianGroup:
+    """Normal form of Z^rows modulo a map with these invariant factors."""
+    return AbelianGroup(rows - len(factors), tuple(x for x in factors if x >= 2))
 
 
 def kernel_basis(m: IntMatrix) -> list:
@@ -368,8 +385,7 @@ def cokernel(m: IntMatrix) -> AbelianGroup:
     >>> cokernel(IntMatrix.from_rows([[0], [1]]))
     AbelianGroup(free_rank=1, torsion=())
     """
-    d = invariant_factors(m)
-    return AbelianGroup(m.rows - len(d), tuple(x for x in d if x >= 2))
+    return cokernel_of_factors(m.rows, invariant_factors(m))
 
 
 def det_bareiss(m: IntMatrix) -> int:

@@ -10,10 +10,11 @@ are transposes of each other, which forces their torsion to agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ConditionLViolation
 from .graphs import BlockDecomposition, Graph, block_decomposition, condition_l, singular_vertices
-from .intlinalg import AbelianGroup, IntMatrix, cokernel, invariant_factors
+from .intlinalg import AbelianGroup, IntMatrix, cokernel, cokernel_of_factors, invariant_factors
 
 
 @dataclass(frozen=True)
@@ -41,27 +42,34 @@ def stacked_matrix(dec: BlockDecomposition) -> IntMatrix:
     """The (r+s) x r map: transposed regular block minus identity over
     transposed regular-to-singular block. Rows are ordered regular then
     singular, matching the graph's vertex order within each class."""
-    b, c = dec.b_block, dec.c_block
+    b, c = dec.b_block._data, dec.c_block._data
     ni, nj = len(dec.regular), len(dec.singular)
-    rows = []
-    for r in range(ni):
-        rows.append([b[cc, r] - (1 if cc == r else 0) for cc in range(ni)])
-    for jr in range(nj):
-        rows.append([c[cc, jr] for cc in range(ni)])
-    return IntMatrix.from_rows(rows, cols=ni)
+
+    def rows():
+        for r in range(ni):
+            row = list(b[r::ni])
+            row[r] -= 1
+            yield row
+        for jr in range(nj):
+            yield c[jr::nj]
+
+    return IntMatrix._trusted(ni + nj, ni, chain.from_iterable(rows()))
 
 
 def row_matrix(dec: BlockDecomposition) -> IntMatrix:
     """The r x (r+s) map: (regular block minus identity | regular-to-singular
     block), columns ordered regular then singular."""
-    b, c = dec.b_block, dec.c_block
+    b, c = dec.b_block._data, dec.c_block._data
     ni, nj = len(dec.regular), len(dec.singular)
-    rows = []
-    for r in range(ni):
-        row = [b[r, cc] - (1 if cc == r else 0) for cc in range(ni)]
-        row.extend(c[r, jc] for jc in range(nj))
-        rows.append(row)
-    return IntMatrix.from_rows(rows, cols=ni + nj)
+
+    def rows():
+        for r in range(ni):
+            row = list(b[r * ni:(r + 1) * ni])
+            row[r] -= 1
+            yield row
+            yield c[r * nj:(r + 1) * nj]
+
+    return IntMatrix._trusted(ni, ni + nj, chain.from_iterable(rows()))
 
 
 def k_groups(g: Graph) -> KTheoryResult:
@@ -69,9 +77,7 @@ def k_groups(g: Graph) -> KTheoryResult:
     dec = block_decomposition(g)
     mat = stacked_matrix(dec)
     d = invariant_factors(mat)
-    k0 = AbelianGroup(mat.rows - len(d), tuple(x for x in d if x >= 2))
-    k1 = AbelianGroup(mat.cols - len(d))
-    return KTheoryResult(k0, k1, mat)
+    return KTheoryResult(cokernel_of_factors(mat.rows, d), AbelianGroup(mat.cols - len(d)), mat)
 
 
 def ext_group(g: Graph, force: bool = False) -> ExtResult:

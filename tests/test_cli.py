@@ -173,6 +173,15 @@ def test_harness_small_run(capsys):
     assert "result: PASS" in out
 
 
+def test_harness_count_must_be_positive(capsys):
+    code, out, err = run(capsys, "harness", "--count", "0")
+    assert code == 1 and out == ""
+    assert "count must be at least 1" in err
+    code, out, _ = run(capsys, "harness", "--count", "1")
+    assert code == 0
+    assert "pass=1" in out and "result: PASS" in out
+
+
 def test_harness_json(capsys):
     code, out, _ = run(capsys, "harness", "--count", "10", "--seed", "9", "--json")
     assert code == 0

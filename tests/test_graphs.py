@@ -37,6 +37,18 @@ def test_graph_equality_and_membership():
     assert "a" in g and "z" not in g
 
 
+def test_out_edges_follow_vertex_order():
+    # edges given in reverse target order come back in vertex order, on
+    # every call
+    g = Graph(["a", "b", "c", "d"], {("a", "d"): 2, ("a", "b"): INF, ("a", "a"): 1})
+    expected = [("a", 1), ("b", INF), ("d", 2)]
+    assert g.out_edges("a") == expected
+    assert g.out_edges("a") == expected
+    assert g.out_edges("c") == []
+    with pytest.raises(ValueError, match="'nope'"):
+        g.out_edges("nope")
+
+
 class TestOutMultiplicity:
     def test_sink(self):
         assert out_multiplicity(Graph(["v"]), "v") == 0

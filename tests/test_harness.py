@@ -1,7 +1,10 @@
 """Random graph generator, the truncation family, and the property runner."""
 
+from dataclasses import replace
+
 import pytest
 
+from graphkt import harness
 from graphkt.catalog import CATALOG, load, verify_catalog
 from graphkt.graphs import INF, singular_vertices
 from graphkt.harness import (
@@ -118,6 +121,27 @@ class TestRunProperties:
         for st in report.properties.values():
             for f in st.failures:
                 assert "seed" in f and "graph" in f
+
+    def test_rejects_a_count_below_one(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_properties(RandomGraphParams(seed=7), 0)
+
+    def test_scans_reuse_the_known_k_groups(self, monkeypatch):
+        params = RandomGraphParams(seed=1, min_vertices=5, max_vertices=5,
+                                   sink_probability=0.4)
+        g = random_graph(replace(params, seed=derive_seed(params.seed, 0)))
+        calls = []
+
+        def counting(h):
+            calls.append(h)
+            return k_groups(h)
+
+        monkeypatch.setattr(harness, "k_groups", counting)
+        report = run_properties(params, 1)
+        assert report.properties["P5"].passed == 1
+        assert report.properties["P6"].passed == 1
+        # P1 computes the graph's K-groups; the P5 and P6 scans reuse them
+        assert sum(h == g for h in calls) == 1
 
     def test_loop_only_graph_skips_p5(self):
         # a graph with no singular vertices has nothing to desingularize

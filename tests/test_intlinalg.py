@@ -1,10 +1,13 @@
 """Exact linear algebra: frozen examples plus randomized invariants.
 
-The independent oracle for torsion orders is cofactor expansion, written
-here and never used by the library code.
+The independent oracles are cofactor expansion (torsion orders) and
+determinantal divisors (invariant factors), written here and never used
+by the library code.
 """
 
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -35,6 +38,40 @@ def cofactor_det(rows):
             minor = [r[:j] + r[j + 1:] for r in rows[1:]]
             total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def determinantal_factors(rows, ncols):
+    """Independent invariant-factor oracle: d_k = D_k / D_(k-1), where D_k
+    is the gcd of all k x k minors, computed by cofactor expansion."""
+    out = []
+    prev = 1
+    for k in range(1, min(len(rows), ncols) + 1):
+        dk = 0
+        for ri in combinations(range(len(rows)), k):
+            for ci in combinations(range(ncols), k):
+                dk = gcd(dk, cofactor_det([[rows[i][j] for j in ci] for i in ri]))
+        if dk == 0:
+            break
+        out.append(dk // prev)
+        prev = dk
+    return tuple(out)
+
+
+@st.composite
+def sparse_matrices(draw, max_dim):
+    """Matrices of every shape up to max_dim x max_dim, zero dimensions
+    included, from all-zero through dense, rich in +-1 entries."""
+    r = draw(st.integers(0, max_dim))
+    c = draw(st.integers(0, max_dim))
+    zero_share = draw(st.integers(0, 4))
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from([1, -1, 1, -1, 2, -2, 3, 6, -9])),
+            min_size=r * c,
+            max_size=r * c,
+        )
+    )
+    return IntMatrix(r, c, [0 if k < zero_share else e for k, e in cells])
 
 
 def random_matrix(rng, max_dim=6, lo=-9, hi=9):
@@ -172,6 +209,23 @@ class TestSnfProperties:
                 prod *= f
             assert prod == abs(d)
             checked += 1
+
+    @given(sparse_matrices(8))
+    def test_factors_match_the_diagonal_of_snf(self, m):
+        # invariant_factors eliminates unit pivots sparsely; snf is dense
+        res = snf(m)
+        assert invariant_factors(m) == res.s.diagonal()[: res.rank]
+
+    @given(sparse_matrices(4))
+    def test_factors_match_determinantal_divisors(self, m):
+        assert invariant_factors(m) == determinantal_factors(m.to_rows(), m.cols)
+
+    def test_unit_pivots_with_fill_in(self):
+        # the unit at (0, 0) clears its column, which turns the 3 at (1, 1)
+        # into a new unit pivot and row 2 into zeros
+        m = IntMatrix.from_rows([[1, 2, 2], [1, 3, 2], [2, 4, 4]])
+        assert invariant_factors(m) == (1, 1)
+        assert invariant_factors(m) == determinantal_factors(m.to_rows(), 3)
 
     def test_det_bareiss_matches_cofactor(self):
         rng = random.Random(31)
