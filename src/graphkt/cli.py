@@ -29,6 +29,11 @@ from .intlinalg import AbelianGroup, det_bareiss, group_format, snf
 from .ktheory import ext_group, k_groups
 
 
+# Largest accepted --truncate, --max-vertices and --max-n. The pipeline
+# builds dense V x V matrices; the largest benchmark graph has 650 vertices.
+_SIZE_CAP = 2000
+
+
 class _UsageError(Exception):
     pass
 
@@ -44,6 +49,11 @@ def _dumps(payload) -> str:
 
 def _group_json(g: AbelianGroup) -> dict:
     return {"rank": g.free_rank, "torsion": list(g.torsion)}
+
+
+def _check_cap(flag: str, value: int) -> None:
+    if value > _SIZE_CAP:
+        raise ValueError(f"{flag} must be at most {_SIZE_CAP}, got {value}")
 
 
 def _load_graph(path: str):
@@ -108,6 +118,7 @@ def _cmd_ext(args) -> int:
 def _cmd_desingularize(args) -> int:
     from .tails import desingularize
 
+    _check_cap("--truncate", args.truncate)
     g = _load_graph(args.file)
     orderings = {}
     for item in args.order or []:
@@ -179,6 +190,7 @@ def _cmd_snf(args) -> int:
 
 
 def _cmd_experiment_ea(args) -> int:
+    _check_cap("--max-n", args.max_n)
     rows = ea_table(args.max_n)
     if args.json:
         payload = {
@@ -214,6 +226,7 @@ def _cmd_experiment_ea(args) -> int:
 
 
 def _cmd_harness(args) -> int:
+    _check_cap("--max-vertices", args.max_vertices)
     params = RandomGraphParams(seed=args.seed, max_vertices=args.max_vertices)
     report = run_properties(params, args.count)
     problems = verify_catalog()

@@ -1,9 +1,10 @@
 """Exact linear algebra over the integers.
 
 Everything works on plain Python ints, so arithmetic never overflows and
-results are exact at any size. The central routine is the Smith normal
-form with recovered unimodular transforms; kernels, cokernels and the
-normal form of finitely generated abelian groups are read off from it.
+results are exact at any size. The central routine is one Smith
+elimination, whose unimodular transforms build up in identity blocks
+appended to the matrix; kernels, cokernels and the normal form of finitely
+generated abelian groups are read off from it.
 """
 
 from __future__ import annotations
@@ -72,9 +73,6 @@ class IntMatrix:
 
     def row(self, i: int) -> tuple:
         return self._data[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple:
-        return tuple(self._data[i * self.cols + j] for i in range(self.rows))
 
     def to_rows(self) -> list:
         c = self.cols
@@ -193,17 +191,9 @@ def _xgcd(a: int, b: int):
     return a, x0, y0
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
 def _swap_cols(m, i, j):
     for row in m:
         row[i], row[j] = row[j], row[i]
-
-
-def _negate_row(m, i):
-    m[i] = [-e for e in m[i]]
 
 
 def _row_submul(m, i, t, q):
@@ -223,7 +213,7 @@ def _col_submul(m, j, t, q):
 
 
 def _find_pivot(sm, nr, nc, t):
-    """Position of a nonzero entry of minimal absolute value in sm[t:, t:]."""
+    """Position of a nonzero entry of minimal absolute value in sm[t:nr, t:nc]."""
     best = None
     best_abs = None
     for i in range(t, nr):
@@ -240,38 +230,34 @@ def _find_pivot(sm, nr, nc, t):
     return best
 
 
-def _merge_diag_pair(sm, u, v, k):
-    """Replace diag entries (a, b) at k, k+1 by (gcd, lcm), transforms recorded."""
+def _merge_diag_pair(sm, k):
+    """Replace diag entries (a, b) at k, k+1 by (gcd, lcm)."""
     a = sm[k][k]
     b = sm[k + 1][k + 1]
     g, x, y = _xgcd(a, b)
     ag = a // g
     bg = b // g
     _row_submul(sm, k, k + 1, -1)
-    if u is not None:
-        _row_submul(u, k, k + 1, -1)
     for row in sm:
         ck, cl = row[k], row[k + 1]
         row[k] = x * ck + y * cl
         row[k + 1] = ag * cl - bg * ck
-    if v is not None:
-        for row in v:
-            ck, cl = row[k], row[k + 1]
-            row[k] = x * ck + y * cl
-            row[k + 1] = ag * cl - bg * ck
-    q = y * bg
-    _row_submul(sm, k + 1, k, q)
-    if u is not None:
-        _row_submul(u, k + 1, k, q)
+    _row_submul(sm, k + 1, k, y * bg)
 
 
-def _smith(sm, nr, nc, u, v) -> int:
-    """Diagonalize sm in place and return its rank.
+def _smith(sm, nr, nc) -> int:
+    """Diagonalize the top-left nr x nc block of the rows sm in place and
+    return its rank.
+
+    Pivots are looked for and tested only inside that block, but every row
+    operation acts on the whole row (rows 0..nr-1) and every column
+    operation on the whole column (all rows of sm). So an identity block
+    appended to the right of the first nr rows ends up holding the left
+    transform, and unit rows appended below the block the right transform.
 
     Pivot choice: nonzero entry of minimal absolute value in the working
     submatrix, which bounds coefficient growth at the sizes this package
     produces. A final gcd-repair pass restores the divisibility chain.
-    When u or v is given, row and column operations are mirrored there.
     """
     t = 0
     while t < nr and t < nc:
@@ -281,13 +267,9 @@ def _smith(sm, nr, nc, u, v) -> int:
         while True:
             pi, pj = piv
             if pi != t:
-                _swap_rows(sm, pi, t)
-                if u is not None:
-                    _swap_rows(u, pi, t)
+                sm[pi], sm[t] = sm[t], sm[pi]
             if pj != t:
                 _swap_cols(sm, pj, t)
-                if v is not None:
-                    _swap_cols(v, pj, t)
             p = sm[t][t]
             dirty = False
             for i in range(t + 1, nr):
@@ -296,8 +278,6 @@ def _smith(sm, nr, nc, u, v) -> int:
                     q = e // p
                     if q:
                         _row_submul(sm, i, t, q)
-                        if u is not None:
-                            _row_submul(u, i, t, q)
                     if sm[i][t]:
                         dirty = True
             if not dirty:
@@ -307,8 +287,6 @@ def _smith(sm, nr, nc, u, v) -> int:
                         q = e // p
                         if q:
                             _col_submul(sm, j, t, q)
-                            if v is not None:
-                                _col_submul(v, j, t, q)
                         if sm[t][j]:
                             dirty = True
             if not dirty:
@@ -318,16 +296,14 @@ def _smith(sm, nr, nc, u, v) -> int:
     rank = t
     for k in range(rank):
         if sm[k][k] < 0:
-            _negate_row(sm, k)
-            if u is not None:
-                _negate_row(u, k)
+            sm[k] = [-e for e in sm[k]]
     if rank > 1:
         changed = True
         while changed:
             changed = False
             for k in range(rank - 1):
                 if sm[k + 1][k + 1] % sm[k][k]:
-                    _merge_diag_pair(sm, u, v, k)
+                    _merge_diag_pair(sm, k)
                     changed = True
     return rank
 
@@ -335,18 +311,18 @@ def _smith(sm, nr, nc, u, v) -> int:
 def snf(m: IntMatrix) -> SnfResult:
     """Smith normal form with transforms: u @ m @ v == s.
 
-    Deterministic for a fixed input. Works for any shape, including
-    zero-dimensional matrices.
+    Eliminates ``[m | I] over [I 0]``: u is read from the right block of
+    the first rows and v from the rows below. Deterministic for a fixed
+    input. Works for any shape, including zero-dimensional matrices.
     """
     nr, nc = m.rows, m.cols
-    sm = m.to_rows()
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-    rank = _smith(sm, nr, nc, u, v)
+    sm = [r + e for r, e in zip(m.to_rows(), IntMatrix.identity(nr).to_rows())]
+    sm += IntMatrix.identity(nc).to_rows()
+    rank = _smith(sm, nr, nc)
     return SnfResult(
-        IntMatrix.from_rows(u, cols=nr),
-        IntMatrix.from_rows(sm, cols=nc),
-        IntMatrix.from_rows(v, cols=nc),
+        IntMatrix.from_rows([r[nc:] for r in sm[:nr]], cols=nr),
+        IntMatrix.from_rows([r[:nc] for r in sm[:nr]], cols=nc),
+        IntMatrix.from_rows(sm[nr:], cols=nc),
         rank,
     )
 
@@ -359,7 +335,7 @@ def invariant_factors(m: IntMatrix) -> tuple:
     1); the remaining rows and columns go through the dense elimination.
     """
     units, sm, nc = eliminate_units(m.rows, m.cols, m._data)
-    rank = _smith(sm, len(sm), nc, None, None)
+    rank = _smith(sm, len(sm), nc)
     return (1,) * units + tuple(sm[k][k] for k in range(rank))
 
 
@@ -372,11 +348,13 @@ def kernel_basis(m: IntMatrix) -> list:
     """Basis of {x : m @ x = 0} spanning a direct summand of Z^cols.
 
     Returns cols - rank vectors (the trailing columns of the right
-    transform); empty when the map is injective.
+    transform of :func:`snf`); empty when the map is injective. Only the
+    right transform is recorded, as unit rows below m.
     """
-    res = snf(m)
-    v = res.v
-    return [tuple(v[i, j] for i in range(m.cols)) for j in range(res.rank, m.cols)]
+    nr, nc = m.rows, m.cols
+    sm = m.to_rows() + IntMatrix.identity(nc).to_rows()
+    rank = _smith(sm, nr, nc)
+    return [tuple(r[j] for r in sm[nr:]) for j in range(rank, nc)]
 
 
 def cokernel(m: IntMatrix) -> AbelianGroup:

@@ -121,6 +121,21 @@ def test_desingularize_domain_error(capsys, tmp_path):
     assert "declared-singular" in out
 
 
+def test_size_flags_are_capped(capsys, tmp_path):
+    cap = cli._SIZE_CAP
+    out = tmp_path / "tail.graph"
+    code, _, _ = run(capsys, "desingularize", str(catalog_path("sink1")),
+                     "--truncate", str(cap), "-o", str(out))
+    assert code == 0
+    assert out.read_text().count("vertex ") == cap + 1
+    for argv in (["desingularize", str(catalog_path("sink1")), "--truncate"],
+                 ["harness", "--max-vertices"],
+                 ["experiment", "ea", "--max-n"]):
+        code, stdout, err = run(capsys, *argv, str(cap + 1))
+        assert code == 1 and stdout == ""
+        assert f"{argv[-1]} must be at most {cap}" in err
+
+
 def test_snf_text_and_json(capsys, tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("2 2\n2 4\n6 8\n")

@@ -156,6 +156,23 @@ class TestSnfExamples:
             assert res.rank == 0
             assert res.s == IntMatrix.zeros(*shape)
 
+    @pytest.mark.parametrize("rows,u,s,v", [
+        # (2, 3) is not a divisibility chain; the gcd repair makes it (1, 6)
+        ([[2, 0], [0, 3]],
+         [[1, 1], [-3, -2]],
+         [[1, 0], [0, 6]],
+         [[-1, -3], [1, 2]]),
+        ([[2, 4, 4, -6], [-6, 6, 12, 10], [10, -4, -16, 2]],
+         [[1, 0, 0], [-3, -1, 0], [-65, -20, 1]],
+         [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 12, 0]],
+         [[1, -4, -2, 17], [0, -1, 4, -20], [0, 0, -3, 16], [0, -2, 0, 3]]),
+    ])
+    def test_frozen_transforms(self, rows, u, s, v):
+        # the exact transforms are part of the output (K1 generators, CLI snf)
+        res = snf(IntMatrix.from_rows(rows))
+        assert (res.u.to_rows(), res.s.to_rows(), res.v.to_rows()) == (u, s, v)
+        assert res.rank == len(rows)
+
 
 class TestSnfProperties:
     def test_reconstruction_randomized(self):
@@ -264,6 +281,12 @@ class TestKernel:
         # a map into Z^0 has everything in its kernel
         basis = kernel_basis(IntMatrix(0, 3, []))
         assert len(basis) == 3
+
+    @given(sparse_matrices(6))
+    def test_basis_is_the_tail_of_the_snf_right_transform(self, m):
+        res = snf(m)
+        tail = [tuple(res.v[i, j] for i in range(m.cols)) for j in range(res.rank, m.cols)]
+        assert kernel_basis(m) == tail
 
     def test_soundness_randomized(self):
         from math import gcd
