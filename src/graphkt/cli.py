@@ -29,8 +29,9 @@ from .intlinalg import AbelianGroup, det_bareiss, group_format, snf
 from .ktheory import ext_group, k_groups
 
 
-# Largest accepted --truncate, --max-vertices and --max-n. The pipeline
-# builds dense V x V matrices; the largest benchmark graph has 650 vertices.
+# Largest accepted --truncate, --max-vertices and --max-n, total tail
+# length of desingularize, and matrix side of snf. The pipeline builds
+# dense V x V matrices; the largest benchmark graph has 650 vertices.
 _SIZE_CAP = 2000
 
 
@@ -120,6 +121,14 @@ def _cmd_desingularize(args) -> int:
 
     _check_cap("--truncate", args.truncate)
     g = _load_graph(args.file)
+    # Every singular vertex gets its own tail. Declared-singular vertices
+    # get none: desingularize rejects them as a domain error.
+    tails = len(singular_vertices(g))
+    if not g.declared_singular and tails * args.truncate > _SIZE_CAP:
+        raise ValueError(
+            f"--truncate {args.truncate} on {tails} singular vertices adds "
+            f"{tails * args.truncate} vertices, more than {_SIZE_CAP}"
+        )
     orderings = {}
     for item in args.order or []:
         v, sep, rest = item.partition(":")
@@ -159,6 +168,10 @@ def _chain_ok(diag, rank) -> bool:
 
 def _cmd_snf(args) -> int:
     m = parse_matrix(Path(args.matrixfile).read_text())
+    if max(m.rows, m.cols) > _SIZE_CAP:
+        raise ValueError(
+            f"matrix must be at most {_SIZE_CAP} x {_SIZE_CAP}, got {m.rows} x {m.cols}"
+        )
     res = snf(m)
     diag = res.s.diagonal()
     verified = (

@@ -51,9 +51,13 @@ class Graph:
     matrices. ``declared_singular`` marks vertices whose stored out-edges
     are a finite stand-in for infinitely many edges (truncations of
     infinite graphs); their rows are never read by the invariant formulas.
+
+    ``_stacked`` is None until :mod:`graphkt.ktheory` first needs the
+    stacked map; it then holds that map and its invariant factors, so
+    K0, K1 and Ext of one instance share one elimination.
     """
 
-    __slots__ = ("vertices", "declared_singular", "_edges", "_index", "_out")
+    __slots__ = ("vertices", "declared_singular", "_edges", "_index", "_out", "_stacked")
 
     def __init__(self, vertices=(), edges=None, declared_singular=()):
         vlist: list[str] = []
@@ -89,6 +93,7 @@ class Graph:
         self._edges = emap
         self._index = index
         self._out = out
+        self._stacked = None
 
     @property
     def edges(self) -> dict:

@@ -5,6 +5,11 @@ K0 and K1 are the cokernel and kernel of the stacked (r+s) x r map built
 from the transposed blocks, and Ext (under condition (L)) is the cokernel
 of the r x (r+s) row map built from the blocks directly. The two matrices
 are transposes of each other, which forces their torsion to agree.
+
+A matrix and its transpose have the same invariant factors, so all three
+groups come from one elimination of the stacked map. It runs at most once
+per :class:`~graphkt.graphs.Graph` instance: the first of :func:`k_groups`
+and :func:`ext_group` to need it fills the graph's ``_stacked`` slot.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from itertools import chain
 
 from .errors import ConditionLViolation
 from .graphs import BlockDecomposition, Graph, block_decomposition, condition_l, singular_vertices
-from .intlinalg import AbelianGroup, IntMatrix, cokernel, cokernel_of_factors, invariant_factors
+from .intlinalg import AbelianGroup, IntMatrix, cokernel_of_factors, invariant_factors
 
 
 @dataclass(frozen=True)
@@ -72,11 +77,18 @@ def row_matrix(dec: BlockDecomposition) -> IntMatrix:
     return IntMatrix._trusted(ni, ni + nj, chain.from_iterable(rows()))
 
 
+def _stacked_factors(g: Graph) -> tuple:
+    """The stacked map of g and its invariant factors, computed on first
+    use and kept in ``g._stacked``."""
+    if g._stacked is None:
+        mat = stacked_matrix(block_decomposition(g))
+        g._stacked = (mat, invariant_factors(mat))
+    return g._stacked
+
+
 def k_groups(g: Graph) -> KTheoryResult:
     """K0 and K1 of the graph algebra of g."""
-    dec = block_decomposition(g)
-    mat = stacked_matrix(dec)
-    d = invariant_factors(mat)
+    mat, d = _stacked_factors(g)
     return KTheoryResult(cokernel_of_factors(mat.rows, d), AbelianGroup(mat.cols - len(d)), mat)
 
 
@@ -91,9 +103,9 @@ def ext_group(g: Graph, force: bool = False) -> ExtResult:
     holds, witness = condition_l(g)
     if not holds and not force:
         raise ConditionLViolation(witness)
-    dec = block_decomposition(g)
-    mat = row_matrix(dec)
-    return ExtResult(cokernel(mat), mat, holds)
+    stacked, d = _stacked_factors(g)
+    mat = stacked.transpose()
+    return ExtResult(cokernel_of_factors(mat.rows, d), mat, holds)
 
 
 def corollary_applies(g: Graph) -> bool:

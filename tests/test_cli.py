@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -134,6 +135,34 @@ def test_size_flags_are_capped(capsys, tmp_path):
         code, stdout, err = run(capsys, *argv, str(cap + 1))
         assert code == 1 and stdout == ""
         assert f"{argv[-1]} must be at most {cap}" in err
+
+
+def test_desingularize_bounds_total_tail_length(capsys, tmp_path):
+    # one loop vertex with an edge to b, and five sinks b..f
+    src = tmp_path / "sinks.graph"
+    src.write_text("".join(f"vertex {v}\n" for v in "abcdef") + "edge a a\nedge a b\n")
+    code, stdout, err = run(capsys, "desingularize", str(src), "--truncate", "401")
+    assert code == 1 and stdout == ""
+    assert "--truncate 401 on 5 singular vertices adds 2005 vertices" in err
+    code, out, _ = run(capsys, "desingularize", str(src), "--truncate", "400")
+    assert code == 0
+    assert out.count("vertex ") == 6 + 5 * 400
+
+
+def test_snf_size_is_capped(capsys, tmp_path):
+    cap = cli._SIZE_CAP
+    p = tmp_path / "m.txt"
+    for head in (f"0 {cap + 1}", f"{cap + 1} 0"):
+        p.write_text(head + "\n")
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "snf", str(p))
+        assert time.perf_counter() - start < 2.0
+        assert code == 1 and stdout == ""
+        assert str(cap + 1) in err
+    p.write_text("0 3\n")
+    code, out, _ = run(capsys, "snf", str(p))
+    assert code == 0
+    assert out == "rows: 0\ncols: 3\nrank: 0\ndiagonal: (empty)\n"
 
 
 def test_snf_text_and_json(capsys, tmp_path):

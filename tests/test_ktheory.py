@@ -1,8 +1,12 @@
 """K0, K1 and Ext from the block matrices."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from graphkt import intlinalg, ktheory
 from graphkt.errors import ConditionLViolation
+from graphkt.graphio import emit_graph, parse_graph
 from graphkt.graphs import Graph, INF, block_decomposition, singular_vertices
 from graphkt.harness import RandomGraphParams, derive_seed, random_graph
 from graphkt.intlinalg import AbelianGroup, IntMatrix, cokernel, invariant_factors
@@ -160,3 +164,58 @@ class TestStructuralInvariants:
             assert r.k0 == AbelianGroup(n - len(d), tuple(x for x in d if x >= 2))
             assert r.k1 == AbelianGroup(n - len(d))
         assert seen > 50
+
+
+class TestSharedElimination:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # Counted at both module attributes, so that an elimination through
+        # intlinalg.cokernel would count too.
+        seen = []
+
+        def counting(m):
+            seen.append(m)
+            return invariant_factors(m)
+
+        monkeypatch.setattr(ktheory, "invariant_factors", counting)
+        monkeypatch.setattr(intlinalg, "invariant_factors", counting)
+        return seen
+
+    def test_k_groups_then_ext_eliminates_once(self, calls):
+        g = loop_fed_by_infinite_emitter()
+        k_groups(g)
+        ext_group(g, force=True)
+        assert len(calls) == 1
+
+    def test_ext_then_k_groups_eliminates_once(self, calls):
+        g = n_loops(4)
+        ext_group(g)
+        k_groups(g)
+        assert len(calls) == 1
+
+    def test_equal_graphs_eliminate_separately(self, calls):
+        text = emit_graph(n_loops(4))
+        for g in (parse_graph(text), parse_graph(text)):
+            k_groups(g)
+            ext_group(g)
+        assert len(calls) == 2
+
+    def test_condition_l_gate_eliminates_nothing(self, calls):
+        with pytest.raises(ConditionLViolation):
+            ext_group(loop_fed_by_infinite_emitter())
+        assert calls == []
+
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_shared_results_match_separate_routes(self, seed, ext_first):
+        params = RandomGraphParams(seed=seed, max_vertices=10)
+        g, g2 = random_graph(params), random_graph(params)
+        if ext_first:
+            res = ext_group(g, force=True)
+            r = k_groups(g)
+        else:
+            r = k_groups(g)
+            res = ext_group(g, force=True)
+        row = row_matrix(block_decomposition(g2))
+        assert res.row_matrix == row
+        assert res.ext == cokernel(row)
+        assert r == k_groups(g2)
