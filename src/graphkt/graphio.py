@@ -116,7 +116,8 @@ def emit_graph(g: Graph) -> str:
 
 def parse_matrix(text: str) -> IntMatrix:
     """Parse a matrix file: first line "rows cols", then that many rows of
-    space-separated integers. Blank lines are ignored."""
+    space-separated integers. Blank lines are ignored, so a matrix with no
+    columns has no row lines."""
     lines = [(i, l.strip()) for i, l in enumerate(text.splitlines(), start=1) if l.strip()]
     if not lines:
         raise ParseError(1, "empty matrix file")
@@ -126,6 +127,8 @@ def parse_matrix(text: str) -> IntMatrix:
         raise ParseError(ln0, "first line must be 'rows cols'")
     rows, cols = int(parts[0]), int(parts[1])
     body = lines[1:]
+    if cols == 0 and not body:
+        return IntMatrix(rows, 0, ())
     if len(body) != rows:
         raise ParseError(ln0, f"expected {rows} matrix rows, got {len(body)}")
     data = []

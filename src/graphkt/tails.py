@@ -5,7 +5,8 @@ appends a chain v0 -> v1 -> ... -> vn of fresh vertices, and re-emits the
 removed edges along the chain: the j-th target (0-indexed, multiplicity C)
 receives one edge from each of v_j, v_{j+1}, ..., v_{j+C-1}. Tails here
 are truncated at a finite length n, so edges whose source index would be
-n or larger are dropped and vn stays a sink.
+n or larger are dropped and vn stays a sink. Every tail of one call is
+written into a single copy of the edge map, and one graph is built.
 """
 
 from __future__ import annotations
@@ -50,47 +51,51 @@ def tail_plan(g: Graph, base: str, tail_length: int, order=None) -> TailPlan:
     return TailPlan(base, tuple(targets), tail_length)
 
 
+def _write_tails(g: Graph, plans) -> Graph:
+    """Write each plan's tail into one copy of ``g``'s vertices and edges and
+    build one graph. Plans are checked against ``g``: bases must be distinct."""
+    vertices = list(g.vertices)
+    edges = g.edges
+    for plan in plans:
+        base, n = plan.base, plan.tail_length
+        if base not in g:
+            raise ValueError(f"unknown vertex: {base!r}")
+        if n < 1:
+            raise ValueError("tail_length must be >= 1")
+        if base in g.declared_singular:
+            raise TailError(
+                f"{base!r} is declared singular: its hidden edges are not represented, "
+                "so a tail cannot reproduce them"
+            )
+        m = out_multiplicity(g, base)
+        if m != 0 and m is not INF:
+            raise TailError(f"{base!r} is not singular (it emits {m} edges)")
+        targets = g.out_edges(base)
+        if dict(plan.ordering) != dict(targets) or len(plan.ordering) != len(targets):
+            raise ValueError(f"tail plan does not match the out-edges of {base!r}")
+        fresh = [f"{base}${k}" for k in range(1, n + 1)]
+        for name in fresh:
+            if name in g:
+                raise TailError(f"fresh tail vertex name already in use: {name!r}")
+        for w, _c in targets:
+            del edges[(base, w)]
+        chain = [base, *fresh]
+        edges.update(dict.fromkeys(zip(chain, fresh), 1))
+        for j, (w, c) in enumerate(plan.ordering):
+            hi = n if c is INF else min(j + c, n)
+            for src in chain[j:hi]:
+                edges[(src, w)] = edges.get((src, w), 0) + 1
+        vertices += fresh
+    return Graph(vertices, edges, g.declared_singular)
+
+
 def add_tail(g: Graph, plan: TailPlan) -> Graph:
     """Apply one truncated tail; returns a new graph, input unchanged.
 
-    Fresh vertices are named ``<base>$1 .. <base>$n``; '$' never appears
-    in user-declared ids, so clashes only arise from previously generated
-    names and are rejected.
+    Fresh vertices are named ``<base>$1 .. <base>$n``. Vertex ids may
+    contain '$'; a fresh name already in the graph raises TailError.
     """
-    base = plan.base
-    if base not in g:
-        raise ValueError(f"unknown vertex: {base!r}")
-    if plan.tail_length < 1:
-        raise ValueError("tail_length must be >= 1")
-    if base in g.declared_singular:
-        raise TailError(
-            f"{base!r} is declared singular: its hidden edges are not represented, "
-            "so a tail cannot reproduce them"
-        )
-    m = out_multiplicity(g, base)
-    if m != 0 and m is not INF:
-        raise TailError(f"{base!r} is not singular (it emits {m} edges)")
-    if dict(plan.ordering) != dict(g.out_edges(base)) or len(plan.ordering) != len(
-        g.out_edges(base)
-    ):
-        raise ValueError(f"tail plan does not match the out-edges of {base!r}")
-
-    n = plan.tail_length
-    fresh = [f"{base}${k}" for k in range(1, n + 1)]
-    for name in fresh:
-        if name in g:
-            raise TailError(f"fresh tail vertex name already in use: {name!r}")
-
-    edges = {pair: mult for pair, mult in g.edges.items() if pair[0] != base}
-    chain = [base, *fresh]
-    for k in range(1, n + 1):
-        edges[(chain[k - 1], chain[k])] = 1
-    for j, (w, c) in enumerate(plan.ordering):
-        hi = n if c is INF else min(j + c, n)
-        for i in range(j, hi):
-            src = chain[i]
-            edges[(src, w)] = edges.get((src, w), 0) + 1
-    return Graph(g.vertices + tuple(fresh), edges, g.declared_singular)
+    return _write_tails(g, [plan])
 
 
 def desingularize(g: Graph, tail_length: int, orderings=None) -> Graph:
@@ -111,7 +116,5 @@ def desingularize(g: Graph, tail_length: int, orderings=None) -> Graph:
     unknown = sorted(set(orderings) - set(sing))
     if unknown:
         raise ValueError(f"ordering given for non-singular vertex: {unknown[0]!r}")
-    out = g
-    for v in sing:
-        out = add_tail(out, tail_plan(out, v, tail_length, orderings.get(v)))
-    return out
+    # Plans are built lazily, so each error is raised at its own vertex.
+    return _write_tails(g, (tail_plan(g, v, tail_length, orderings.get(v)) for v in sing))

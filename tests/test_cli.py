@@ -114,6 +114,14 @@ def test_desingularize_order_flag(capsys, tmp_path):
     assert code == 1 and "--order" in err
 
 
+def test_desingularize_fresh_name_clash(capsys, tmp_path):
+    src = tmp_path / "s.graph"
+    src.write_text("vertex a\nvertex a$1\n")
+    code, out, _ = run(capsys, "desingularize", str(src), "--truncate", "2")
+    assert code == 2
+    assert out == "fresh tail vertex name already in use: 'a$1'\n"
+
+
 def test_desingularize_domain_error(capsys, tmp_path):
     src = tmp_path / "s.graph"
     src.write_text("vertex a\nsingular a\n")
@@ -163,6 +171,17 @@ def test_snf_size_is_capped(capsys, tmp_path):
     code, out, _ = run(capsys, "snf", str(p))
     assert code == 0
     assert out == "rows: 0\ncols: 3\nrank: 0\ndiagonal: (empty)\n"
+
+
+def test_snf_zero_columns(capsys, tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("3 0\n")
+    code, out, _ = run(capsys, "snf", str(p))
+    assert code == 0
+    assert out == "rows: 3\ncols: 0\nrank: 0\ndiagonal: (empty)\n"
+    code, out, _ = run(capsys, "snf", str(p), "--json")
+    assert code == 0
+    assert out.strip() == '{"rows":3,"cols":0,"rank":0,"diagonal":[]}'
 
 
 def test_snf_text_and_json(capsys, tmp_path):

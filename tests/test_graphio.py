@@ -146,6 +146,11 @@ class TestParseMatrix:
     def test_zero_rows(self):
         assert parse_matrix("0 4\n") == IntMatrix(0, 4, [])
 
+    def test_zero_columns(self):
+        assert parse_matrix("3 0\n\n\n") == IntMatrix(3, 0, [])
+        with pytest.raises(ParseError, match="expected 0 entries"):
+            parse_matrix("1 0\n5\n")
+
     @pytest.mark.parametrize("text,fragment", [
         ("", "empty"),
         ("2\n1\n2\n", "rows cols"),

@@ -1,8 +1,12 @@
 """Tail construction and truncated desingularization."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from graphkt import tails
 from graphkt.errors import TailError
+from graphkt.graphio import emit_graph
 from graphkt.graphs import Graph, INF, out_multiplicity, singular_vertices
 from graphkt.harness import (
     RandomGraphParams,
@@ -133,6 +137,58 @@ class TestDesingularize:
             assert all(m is not INF for m in out.edges.values())
             assert singular_vertices(out) == [f"{v}$3" for v in sing]
         assert checked > 30
+
+    @given(
+        seed=st.integers(0, 2**32),
+        infinite=st.sampled_from([0.0, 0.12, 0.4]),
+        sinks=st.sampled_from([0.0, 0.2, 0.5]),
+        n=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_equals_one_tail_at_a_time(self, seed, infinite, sinks, n, data):
+        g = random_graph(RandomGraphParams(
+            seed=seed, max_vertices=10, infinite_probability=infinite,
+            sink_probability=sinks,
+        ))
+        orderings = {}
+        for v in singular_vertices(g):
+            targets = [w for w, _m in g.out_edges(v)]
+            if len(targets) >= 2 and data.draw(st.booleans()):
+                orderings[v] = data.draw(st.permutations(targets))
+        ref = g
+        for v in singular_vertices(g):
+            ref = add_tail(ref, tail_plan(ref, v, n, orderings.get(v)))
+        out = desingularize(g, n, orderings)
+        assert out.vertices == ref.vertices
+        assert list(out.edges.items()) == list(ref.edges.items())
+        assert emit_graph(out) == emit_graph(ref)
+
+    def test_builds_one_graph(self, monkeypatch):
+        built = []
+
+        def counting_graph(*args, **kwargs):
+            built.append(args)
+            return Graph(*args, **kwargs)
+
+        g = Graph(["a", "b", "v", "w"], {("v", "w"): INF, ("w", "w"): 1})
+        assert singular_vertices(g) == ["a", "b", "v"]
+        monkeypatch.setattr(tails, "Graph", counting_graph)
+        out = desingularize(g, 2)
+        assert len(built) == 1
+        assert len(out.vertices) == 4 + 3 * 2
+        add_tail(g, tail_plan(g, "a", 2))
+        assert len(built) == 2
+
+    def test_first_failing_vertex_raises(self):
+        # a's fresh name a$1 is taken; v, later in vertex order, has a bad
+        # ordering. Tailing one vertex at a time stops at a.
+        edges = {("v", "w"): INF, ("v", "a"): INF, ("w", "w"): 1}
+        g = Graph(["a", "a$1", "v", "w"], edges)
+        with pytest.raises(TailError, match=r"already in use: 'a\$1'"):
+            desingularize(g, 1, {"v": ["w"]})
+        g = Graph(["a", "v", "w"], edges)
+        with pytest.raises(ValueError, match="exactly once"):
+            desingularize(g, 1, {"v": ["w"]})
 
 
 class TestWorkedTruncation:
