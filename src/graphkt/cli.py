@@ -30,8 +30,8 @@ from .ktheory import ext_group, k_groups
 
 
 # Largest accepted --truncate, --max-vertices and --max-n, total tail
-# length of desingularize, and matrix side of snf. The pipeline builds
-# dense V x V matrices; the largest benchmark graph has 650 vertices.
+# length of desingularize, and matrix side of snf. It bounds the output
+# size and the elimination work; the largest benchmark graph has 650 vertices.
 _SIZE_CAP = 2000
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
 
 from .intlinalg import IntMatrix
 
@@ -141,7 +140,9 @@ class BlockDecomposition:
     """Regular/singular vertex split with the finite blocks of the vertex matrix.
 
     ``b_block`` holds edge counts regular -> regular, ``c_block`` regular ->
-    singular. Rows indexed by singular vertices are never materialized.
+    singular. Rows indexed by singular vertices are never materialized, and
+    both blocks store only their nonzero entries, one per edge, so building
+    them costs O(V + E).
     """
 
     regular: tuple
@@ -173,27 +174,26 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     singular = singular_vertices(g)
     sset = set(singular)
     regular = [v for v in g.vertices if v not in sset]
-    nr, ns = len(regular), len(singular)
-    reg_col = {v: k for k, v in enumerate(regular)}
-    sing_col = {v: k for k, v in enumerate(singular)}
-
-    def block_rows(block_col, width):
-        # One row per regular vertex, filled from its out-edges.
-        for v in regular:
-            row = [0] * width
-            for w in g._out[g._index[v]]:
-                k = block_col.get(w)
-                if k is not None:
-                    m = g._edges[(v, w)]
-                    assert m is not INF, "regular vertex with an infinite edge"
-                    row[k] = m
-            yield row
-
+    # Block (0 for B, 1 for C) and column of each target vertex; each
+    # regular vertex gets one row dict per block, filled from its out-edges.
+    col = {v: (0, k) for k, v in enumerate(regular)}
+    col.update((v, (1, k)) for k, v in enumerate(singular))
+    b_rows, c_rows = [], []
+    for v in regular:
+        row = {}, {}
+        for w in g._out[g._index[v]]:
+            m = g._edges[(v, w)]
+            assert m is not INF, "regular vertex with an infinite edge"
+            block, k = col[w]
+            row[block][k] = m
+        b_rows.append(row[0])
+        c_rows.append(row[1])
+    nr = len(regular)
     return BlockDecomposition(
         tuple(regular),
         tuple(singular),
-        IntMatrix._trusted(nr, nr, chain.from_iterable(block_rows(reg_col, nr))),
-        IntMatrix._trusted(nr, ns, chain.from_iterable(block_rows(sing_col, ns))),
+        IntMatrix._of_rows(nr, nr, b_rows),
+        IntMatrix._of_rows(nr, len(singular), c_rows),
     )
 
 

@@ -23,7 +23,7 @@ from .graphio import emit_graph
 from .graphs import Graph, INF, block_decomposition, singular_vertices
 from .intlinalg import AbelianGroup, IntMatrix, cokernel, cokernel_of_factors, invariant_factors
 from .ktheory import corollary_applies, k_groups, row_matrix
-from .tails import desingularize
+from .tails import _singular_plans, _write_tails
 
 SCAN_BUDGET = 12
 SCAN_WINDOW = 5
@@ -149,12 +149,14 @@ def truncation_scan(
 
 def _scan(g: Graph, goal: tuple, budget: int, window: int, orderings) -> ScanResult:
     """The scan of :func:`truncation_scan` for a graph with singular
-    vertices whose K-groups ``goal`` are already known."""
+    vertices whose K-groups ``goal`` are already known. The tail plans are
+    made once, and each length n rewrites them as ``desingularize`` would."""
+    plans = list(_singular_plans(g, 1, orderings))
     memo: dict[int, tuple] = {}
 
     def at(n: int) -> tuple:
         if n not in memo:
-            r = k_groups(desingularize(g, n, orderings))
+            r = k_groups(_write_tails(g, [replace(p, tail_length=n) for p in plans]))
             memo[n] = (r.k0, r.k1)
         return memo[n]
 

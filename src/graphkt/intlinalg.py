@@ -1,28 +1,32 @@
 """Exact linear algebra over the integers.
 
 Everything works on plain Python ints, so arithmetic never overflows and
-results are exact at any size. The central routine is one Smith
-elimination, whose unimodular transforms build up in identity blocks
-appended to the matrix; kernels, cokernels and the normal form of finitely
-generated abelian groups are read off from it.
+results are exact at any size. Matrices keep only their nonzero entries,
+one ``{column: entry}`` dict per row, so the sparse vertex-matrix maps of
+graphs cost their nonzeros, not rows times columns. The central routine
+is one Smith elimination, whose unimodular transforms build up in identity
+blocks appended to the matrix; kernels, cokernels and the normal form of
+finitely generated abelian groups are read off from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .sparse import eliminate_units
 
 
 class IntMatrix:
-    """Dense integer matrix, row-major, immutable after construction.
+    """Integer matrix, immutable after construction.
 
-    Zero-dimensional shapes (0 x n, n x 0) are legal and represent maps
-    to or from the zero group.
+    Stored as one ``{column: entry}`` dict per row that holds the nonzero
+    entries only, so transposing, multiplying and comparing cost the number
+    of nonzeros. ``row`` and ``to_rows`` still give dense rows. Zero-
+    dimensional shapes (0 x n, n x 0) are legal and represent maps to or
+    from the zero group.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_sparse")
 
     def __init__(self, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
@@ -35,16 +39,18 @@ class IntMatrix:
                 raise TypeError(f"non-integer entry: {e!r}")
         self.rows = rows
         self.cols = cols
-        self._data = data
+        self._sparse = [
+            {j: e for j, e in enumerate(data[i * cols:(i + 1) * cols]) if e}
+            for i in range(rows)
+        ]
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries) -> "IntMatrix":
-        """Matrix over ``rows * cols`` row-major entries that are already
-        known to be ints, without the per-entry checks of the constructor."""
+    def _of_rows(cls, rows: int, cols: int, sparse: list) -> "IntMatrix":
+        """Matrix owning ``sparse``: row dicts of nonzero ints, unchecked."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m._data = tuple(entries)
+        m._sparse = sparse
         return m
 
     @classmethod
@@ -69,21 +75,29 @@ class IntMatrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"({i}, {j}) out of range for {self.rows}x{self.cols}")
-        return self._data[i * self.cols + j]
+        return self._sparse[i].get(j, 0)
+
+    def _dense(self, i: int) -> list:
+        out = [0] * self.cols
+        for j, e in self._sparse[i].items():
+            out[j] = e
+        return out
 
     def row(self, i: int) -> tuple:
-        return self._data[i * self.cols:(i + 1) * self.cols]
+        return tuple(self._dense(i))
 
     def to_rows(self) -> list:
-        c = self.cols
-        return [list(self._data[i * c:(i + 1) * c]) for i in range(self.rows)]
+        return [self._dense(i) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        c, data = self.cols, self._data
-        return IntMatrix._trusted(c, self.rows, chain.from_iterable(data[j::c] for j in range(c)))
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._sparse):
+            for j, e in r.items():
+                out[j][i] = e
+        return IntMatrix._of_rows(self.cols, self.rows, out)
 
     def diagonal(self) -> tuple:
-        return tuple(self[i, i] for i in range(min(self.rows, self.cols)))
+        return tuple(self._sparse[i].get(i, 0) for i in range(min(self.rows, self.cols)))
 
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
@@ -92,18 +106,14 @@ class IntMatrix:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        n, k, m = self.rows, self.cols, other.cols
-        out = [0] * (n * m)
-        for i in range(n):
-            base = i * k
-            ob = i * m
-            for t in range(k):
-                a = self._data[base + t]
-                if a:
-                    tb = t * m
-                    for j in range(m):
-                        out[ob + j] += a * other._data[tb + j]
-        return IntMatrix(n, m, out)
+        out = []
+        for r in self._sparse:
+            acc = {}
+            for t, a in r.items():
+                for j, b in other._sparse[t].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: e for j, e in acc.items() if e})
+        return IntMatrix._of_rows(self.rows, other.cols, out)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -111,11 +121,11 @@ class IntMatrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self._data == other._data
+            and self._sparse == other._sparse
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._data))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._sparse)))
 
     def __repr__(self):
         if self.rows <= 6 and self.cols <= 6:
@@ -334,7 +344,7 @@ def invariant_factors(m: IntMatrix) -> tuple:
     Unit pivots are eliminated sparsely first (each is an invariant factor
     1); the remaining rows and columns go through the dense elimination.
     """
-    units, sm, nc = eliminate_units(m.rows, m.cols, m._data)
+    units, sm, nc = eliminate_units([dict(r) for r in m._sparse], m.cols)
     rank = _smith(sm, len(sm), nc)
     return (1,) * units + tuple(sm[k][k] for k in range(rank))
 

@@ -15,7 +15,6 @@ and :func:`ext_group` to need it fills the graph's ``_stacked`` slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import ConditionLViolation
 from .graphs import BlockDecomposition, Graph, block_decomposition, condition_l, singular_vertices
@@ -43,38 +42,32 @@ class ExtResult:
     condition_l_holds: bool
 
 
+def _minus_identity(rows: list) -> list:
+    """Subtract 1 from the diagonal of square row dicts, in place."""
+    for r, row in enumerate(rows):
+        e = row.pop(r, 0) - 1
+        if e:
+            row[r] = e
+    return rows
+
+
 def stacked_matrix(dec: BlockDecomposition) -> IntMatrix:
     """The (r+s) x r map: transposed regular block minus identity over
     transposed regular-to-singular block. Rows are ordered regular then
     singular, matching the graph's vertex order within each class."""
-    b, c = dec.b_block._data, dec.c_block._data
     ni, nj = len(dec.regular), len(dec.singular)
-
-    def rows():
-        for r in range(ni):
-            row = list(b[r::ni])
-            row[r] -= 1
-            yield row
-        for jr in range(nj):
-            yield c[jr::nj]
-
-    return IntMatrix._trusted(ni + nj, ni, chain.from_iterable(rows()))
+    b, c = dec.b_block.transpose(), dec.c_block.transpose()
+    return IntMatrix._of_rows(ni + nj, ni, _minus_identity(b._sparse) + c._sparse)
 
 
 def row_matrix(dec: BlockDecomposition) -> IntMatrix:
     """The r x (r+s) map: (regular block minus identity | regular-to-singular
     block), columns ordered regular then singular."""
-    b, c = dec.b_block._data, dec.c_block._data
     ni, nj = len(dec.regular), len(dec.singular)
-
-    def rows():
-        for r in range(ni):
-            row = list(b[r * ni:(r + 1) * ni])
-            row[r] -= 1
-            yield row
-            yield c[r * nj:(r + 1) * nj]
-
-    return IntMatrix._trusted(ni, ni + nj, chain.from_iterable(rows()))
+    rows = _minus_identity([dict(r) for r in dec.b_block._sparse])
+    for row, c in zip(rows, dec.c_block._sparse):
+        row.update((ni + k, e) for k, e in c.items())
+    return IntMatrix._of_rows(ni, ni + nj, rows)
 
 
 def _stacked_factors(g: Graph) -> tuple:

@@ -3,7 +3,9 @@
 Vertex matrices of graphs are sparse and most of their entries are +-1.
 Each +-1 pivot is an invariant factor 1, and eliminating it on sparse rows
 costs only the fill-in it causes, so these pivots go first and the dense
-elimination in :mod:`graphkt.intlinalg` only sees what is left. See Dumas,
+elimination in :mod:`graphkt.intlinalg` only sees what is left. The rows
+are the ``{column: entry}`` dicts that :class:`~graphkt.intlinalg.IntMatrix`
+stores, copied, so no dense form of the matrix is ever built. See Dumas,
 Saunders and Villard, "On efficient sparse integer matrix Smith normal
 form computations", J. Symb. Comput. 32 (2001).
 """
@@ -11,19 +13,22 @@ form computations", J. Symb. Comput. 32 (2001).
 from __future__ import annotations
 
 import heapq
-from itertools import compress
 
 
-def _eliminate(rows: list, ncols: int) -> tuple:
-    """Eliminate +-1 pivots from sparse rows in place.
+def eliminate_units(rows: list, ncols: int) -> tuple:
+    """Eliminate the +-1 pivots of sparse rows, in place.
 
     ``rows[i]`` is ``{column: entry}`` with nonzero entries. A unit pivot
     clears its column by row operations, after which column operations
     clear its row without touching the rest, so it contributes an
     invariant factor 1 and its row and column drop out (the row becomes
     None). Pivots are taken in order of lowest Markowitz cost
-    (row nnz - 1) * (col nnz - 1), which keeps fill-in low. Returns the
-    number of pivots and the columns that still hold entries.
+    (row nnz - 1) * (col nnz - 1), which keeps fill-in low.
+
+    Returns ``(units, residual, width)``: the number of pivots taken, and
+    the remaining nonzero rows restricted to the ``width`` columns that
+    still hold entries, as dense lists. The invariant factors of the
+    matrix are ``units`` ones followed by those of the residual.
     """
     nr = len(rows)
     count = [0] * ncols  # nonzeros per column
@@ -81,21 +86,5 @@ def _eliminate(rows: list, ncols: int) -> tuple:
                     heapq.heappush(heap, ((len(target) - 1) * (count[k] - 1) * nr + r) * ncols + k)
         holders[j] = []
         pivots += 1
-    return pivots, [j for j in range(ncols) if count[j]]
-
-
-def eliminate_units(nrows: int, ncols: int, data) -> tuple:
-    """Eliminate the +-1 pivots of a row-major nrows x ncols matrix.
-
-    Returns ``(units, residual, width)``: the number of pivots taken, each
-    an invariant factor 1, and the remaining nonzero rows restricted to
-    the ``width`` columns that still hold entries, as dense lists. The
-    invariant factors of the matrix are ``units`` ones followed by those
-    of the residual.
-    """
-    rows = []
-    for i in range(nrows):
-        seg = data[i * ncols:(i + 1) * ncols]
-        rows.append({j: seg[j] for j in compress(range(ncols), seg)})
-    units, live = _eliminate(rows, ncols)
-    return units, [[r.get(j, 0) for j in live] for r in rows if r], len(live)
+    live = [j for j in range(ncols) if count[j]]
+    return pivots, [[r.get(j, 0) for j in live] for r in rows if r], len(live)

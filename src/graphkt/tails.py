@@ -98,15 +98,9 @@ def add_tail(g: Graph, plan: TailPlan) -> Graph:
     return _write_tails(g, [plan])
 
 
-def desingularize(g: Graph, tail_length: int, orderings=None) -> Graph:
-    """Add one truncated tail at every singular vertex of ``g``.
-
-    Only the original graph's singular vertices are processed; the sinks
-    created by truncation are left alone. ``orderings`` optionally maps a
-    singular vertex to its target order.
-    """
-    if tail_length < 1:
-        raise ValueError("tail_length must be >= 1")
+def _singular_plans(g: Graph, tail_length: int, orderings=None):
+    """Check ``g`` and ``orderings``, then return a generator of the plans
+    of its singular vertices, so each plan error is raised at its vertex."""
     if g.declared_singular:
         raise TailError(
             "graph has declared-singular vertices; their hidden edges cannot be given tails"
@@ -116,5 +110,16 @@ def desingularize(g: Graph, tail_length: int, orderings=None) -> Graph:
     unknown = sorted(set(orderings) - set(sing))
     if unknown:
         raise ValueError(f"ordering given for non-singular vertex: {unknown[0]!r}")
-    # Plans are built lazily, so each error is raised at its own vertex.
-    return _write_tails(g, (tail_plan(g, v, tail_length, orderings.get(v)) for v in sing))
+    return (tail_plan(g, v, tail_length, orderings.get(v)) for v in sing)
+
+
+def desingularize(g: Graph, tail_length: int, orderings=None) -> Graph:
+    """Add one truncated tail at every singular vertex of ``g``.
+
+    Only the original graph's singular vertices are processed; the sinks
+    created by truncation are left alone. ``orderings`` optionally maps a
+    singular vertex to its target order.
+    """
+    if tail_length < 1:
+        raise ValueError("tail_length must be >= 1")
+    return _write_tails(g, _singular_plans(g, tail_length, orderings))

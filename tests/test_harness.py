@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from graphkt import harness
+from graphkt import harness, tails
 from graphkt.catalog import CATALOG, load, verify_catalog
-from graphkt.graphs import INF, singular_vertices
+from graphkt.graphs import INF, Graph, singular_vertices
 from graphkt.harness import (
     RandomGraphParams,
     derive_seed,
@@ -142,6 +142,22 @@ class TestRunProperties:
         assert report.properties["P6"].passed == 1
         # P1 computes the graph's K-groups; the P5 and P6 scans reuse them
         assert sum(h == g for h in calls) == 1
+
+    def test_scan_finds_the_singular_vertices_once(self, monkeypatch):
+        # the scan tries at least six tail lengths; the singular vertices and
+        # their target orders do not depend on the length
+        g = Graph(["a", "b", "s"], {("a", "b"): 1, ("b", "a"): 2, ("b", "s"): 1,
+                                    ("a", "a"): INF})
+        calls = []
+
+        def counting(h):
+            calls.append(h)
+            return singular_vertices(h)
+
+        monkeypatch.setattr(tails, "singular_vertices", counting)
+        assert harness.truncation_scan(g).status == "stable"
+        assert harness.truncation_scan(g, orderings={"a": ["b", "a"]}).status == "stable"
+        assert calls == [g, g]
 
     def test_loop_only_graph_skips_p5(self):
         # a graph with no singular vertices has nothing to desingularize

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphkt.graphs import INF, Graph, block_decomposition
+from graphkt.harness import RandomGraphParams, random_graph
 from graphkt.intlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -23,6 +25,7 @@ from graphkt.intlinalg import (
     kernel_basis,
     snf,
 )
+from graphkt.ktheory import row_matrix, stacked_matrix
 
 
 def cofactor_det(rows):
@@ -126,6 +129,62 @@ class TestIntMatrix:
     def test_transpose_involution(self):
         m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert m.transpose().transpose() == m
+
+
+def stores_no_zero(m):
+    """The storage invariant: one dict per row, nonzero ints in range only."""
+    return len(m._sparse) == m.rows and all(
+        isinstance(e, int) and e and 0 <= j < m.cols for r in m._sparse for j, e in r.items()
+    )
+
+
+def dense_stacked(g):
+    """(B^t - I ; C^t) from the edge map alone, the way harness P4 builds
+    the full vertex matrix, independently of block_decomposition."""
+    emits = {}
+    for (v, _w), m in g.edges.items():
+        emits[v] = INF if m is INF or emits.get(v) is INF else emits.get(v, 0) + m
+    singular = [v for v in g.vertices
+                if v in g.declared_singular or emits.get(v, 0) is INF or not emits.get(v)]
+    regular = [v for v in g.vertices if v not in singular]
+    pos = {v: k for k, v in enumerate(regular + singular)}
+    n = len(regular)
+    rows = [[-1 if i == j else 0 for j in range(n)] for i in range(len(pos))]
+    for (v, w), m in g.edges.items():
+        if v in regular:
+            rows[pos[w]][pos[v]] += m
+    return IntMatrix.from_rows(rows, cols=n)
+
+
+class TestSparseStorage:
+    @given(sparse_matrices(6), sparse_matrices(6))
+    def test_every_matrix_route_stores_no_zero(self, a, b):
+        rebuilt = IntMatrix.from_rows(a.to_rows(), cols=a.cols)
+        for m in (a, b, rebuilt, a.transpose(), a @ a.transpose(), a.transpose() @ a):
+            assert stores_no_zero(m)
+        if a.cols == b.rows:
+            assert stores_no_zero(a @ b)
+        # == and hash agree with the dense rows, however the dicts were filled
+        for x, y in ((a, b), (a, rebuilt), (a, a.transpose().transpose()), (a, b.transpose())):
+            same = (x.rows, x.cols, x.to_rows()) == (y.rows, y.cols, y.to_rows())
+            assert (x == y) == same
+            if same:
+                assert hash(x) == hash(y)
+
+    @given(st.integers(0, 2**32), st.integers(0, 2), st.sampled_from([0.0, 0.12, 0.4]),
+           st.sampled_from([0.0, 0.2, 0.5]))
+    def test_graph_maps_store_no_zero_and_match_the_edge_map(self, seed, declare, inf, sink):
+        g = random_graph(RandomGraphParams(seed=seed, max_vertices=10, max_multiplicity=3,
+                                           infinite_probability=inf, sink_probability=sink))
+        g = Graph(g.vertices, g.edges, g.vertices[:declare])
+        dec = block_decomposition(g)
+        stacked, row = stacked_matrix(dec), row_matrix(dec)
+        for m in (dec.b_block, dec.c_block, stacked, row):
+            assert stores_no_zero(m)
+        dense = dense_stacked(g)
+        assert stacked == dense
+        assert hash(stacked) == hash(dense)
+        assert row == dense.transpose()
 
 
 class TestSnfExamples:

@@ -1,5 +1,7 @@
 """K0, K1 and Ext from the block matrices."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from graphkt import intlinalg, ktheory
 from graphkt.errors import ConditionLViolation
 from graphkt.graphio import emit_graph, parse_graph
 from graphkt.graphs import Graph, INF, block_decomposition, singular_vertices
-from graphkt.harness import RandomGraphParams, derive_seed, random_graph
+from graphkt.harness import RandomGraphParams, derive_seed, ea_family, random_graph
 from graphkt.intlinalg import AbelianGroup, IntMatrix, cokernel, invariant_factors
 from graphkt.ktheory import (
     corollary_applies,
@@ -219,3 +221,17 @@ class TestSharedElimination:
         assert res.row_matrix == row
         assert res.ext == cokernel(row)
         assert r == k_groups(g2)
+
+
+def test_650_vertex_graph_allocates_no_dense_map():
+    # One dense 650 x 650 map of pointers alone is 3.4 MB; the stacked map
+    # of this truncation has 648 nonzeros.
+    g = ea_family(650)
+    tracemalloc.start()
+    try:
+        k_groups(g)
+        ext_group(g, force=True)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
