@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .catalog import verify_catalog
 from .errors import ConditionLViolation, DomainError, ParseError
-from .graphio import emit_graph, parse_graph, parse_matrix
+from .graphio import emit_graph, matrix_shape, parse_graph, parse_matrix
 from .graphs import condition_l, is_row_finite, singular_vertices
 from .harness import (
     EA_LIMITS,
@@ -167,11 +167,11 @@ def _chain_ok(diag, rank) -> bool:
 
 
 def _cmd_snf(args) -> int:
-    m = parse_matrix(Path(args.matrixfile).read_text())
-    if max(m.rows, m.cols) > _SIZE_CAP:
-        raise ValueError(
-            f"matrix must be at most {_SIZE_CAP} x {_SIZE_CAP}, got {m.rows} x {m.cols}"
-        )
+    text = Path(args.matrixfile).read_text()
+    rows, cols = matrix_shape(text)
+    if max(rows, cols) > _SIZE_CAP:
+        raise ValueError(f"matrix must be at most {_SIZE_CAP} x {_SIZE_CAP}, got {rows} x {cols}")
+    m = parse_matrix(text)
     res = snf(m)
     diag = res.s.diagonal()
     verified = (

@@ -114,10 +114,9 @@ def emit_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str) -> IntMatrix:
-    """Parse a matrix file: first line "rows cols", then that many rows of
-    space-separated integers. Blank lines are ignored, so a matrix with no
-    columns has no row lines."""
+def _split_matrix(text: str) -> tuple:
+    """Line number, rows and cols of a matrix file's checked header, and
+    its remaining nonblank lines as (line number, text)."""
     lines = [(i, l.strip()) for i, l in enumerate(text.splitlines(), start=1) if l.strip()]
     if not lines:
         raise ParseError(1, "empty matrix file")
@@ -125,8 +124,22 @@ def parse_matrix(text: str) -> IntMatrix:
     parts = head.split()
     if len(parts) != 2 or not all(_NUM.match(p) for p in parts):
         raise ParseError(ln0, "first line must be 'rows cols'")
-    rows, cols = int(parts[0]), int(parts[1])
-    body = lines[1:]
+    return ln0, int(parts[0]), int(parts[1]), lines[1:]
+
+
+def matrix_shape(text: str) -> tuple:
+    """The (rows, cols) declared on the first line of a matrix file, read
+    without building the matrix, so that a size bound can be applied before
+    any per-row allocation (an R x 0 file needs no row lines)."""
+    _, rows, cols, _ = _split_matrix(text)
+    return rows, cols
+
+
+def parse_matrix(text: str) -> IntMatrix:
+    """Parse a matrix file: first line "rows cols", then that many rows of
+    space-separated integers. Blank lines are ignored, so a matrix with no
+    columns has no row lines."""
+    ln0, rows, cols, body = _split_matrix(text)
     if cols == 0 and not body:
         return IntMatrix(rows, 0, ())
     if len(body) != rows:

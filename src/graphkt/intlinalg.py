@@ -7,6 +7,11 @@ graphs cost their nonzeros, not rows times columns. The central routine
 is one Smith elimination, whose unimodular transforms build up in identity
 blocks appended to the matrix; kernels, cokernels and the normal form of
 finitely generated abelian groups are read off from it.
+
+:func:`snf` keeps its result on the matrix instance (never on an equal
+matrix built separately), and :func:`kernel_basis`, :func:`invariant_factors`
+and :func:`cokernel` then read V and the diagonal from it; before
+:func:`snf`, or alone, they run cheaper eliminations and keep nothing.
 """
 
 from __future__ import annotations
@@ -24,9 +29,12 @@ class IntMatrix:
     of nonzeros. ``row`` and ``to_rows`` still give dense rows. Zero-
     dimensional shapes (0 x n, n x 0) are legal and represent maps to or
     from the zero group.
+
+    ``_snf`` is None until :func:`snf` first runs on the instance and then
+    holds its result, which the kernel and the cokernel also read.
     """
 
-    __slots__ = ("rows", "cols", "_sparse")
+    __slots__ = ("rows", "cols", "_sparse", "_snf")
 
     def __init__(self, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
@@ -34,15 +42,10 @@ class IntMatrix:
         data = tuple(entries)
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        for e in data:
-            if not isinstance(e, int):
-                raise TypeError(f"non-integer entry: {e!r}")
         self.rows = rows
         self.cols = cols
-        self._sparse = [
-            {j: e for j, e in enumerate(data[i * cols:(i + 1) * cols]) if e}
-            for i in range(rows)
-        ]
+        self._sparse = [_row_dict(data[i * cols:(i + 1) * cols]) for i in range(rows)]
+        self._snf = None
 
     @classmethod
     def _of_rows(cls, rows: int, cols: int, sparse: list) -> "IntMatrix":
@@ -51,17 +54,21 @@ class IntMatrix:
         m.rows = rows
         m.cols = cols
         m._sparse = sparse
+        m._snf = None
         return m
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
+        # Lists and tuples are only read, so they are not copied.
+        rows = [r if isinstance(r, (list, tuple)) else list(r) for r in rows]
         if cols is None:
             cols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != cols:
                 raise ValueError("ragged rows")
-        return cls(len(rows), cols, [e for r in rows for e in r])
+        if cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        return cls._of_rows(len(rows), cols, [_row_dict(r) for r in rows])
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -131,6 +138,14 @@ class IntMatrix:
         if self.rows <= 6 and self.cols <= 6:
             return f"IntMatrix.from_rows({self.to_rows()!r})"
         return f"IntMatrix({self.rows}x{self.cols})"
+
+
+def _row_dict(row) -> dict:
+    """The nonzero entries of a dense row, checked to be ints."""
+    for e in row:
+        if not isinstance(e, int):
+            raise TypeError(f"non-integer entry: {e!r}")
+    return {j: e for j, e in enumerate(row) if e}
 
 
 @dataclass(frozen=True)
@@ -324,26 +339,35 @@ def snf(m: IntMatrix) -> SnfResult:
     Eliminates ``[m | I] over [I 0]``: u is read from the right block of
     the first rows and v from the rows below. Deterministic for a fixed
     input. Works for any shape, including zero-dimensional matrices.
+
+    The result is kept on ``m`` (never on an equal matrix built
+    separately): later calls return the same object, and
+    :func:`kernel_basis` and :func:`invariant_factors` read it.
     """
-    nr, nc = m.rows, m.cols
-    sm = [r + e for r, e in zip(m.to_rows(), IntMatrix.identity(nr).to_rows())]
-    sm += IntMatrix.identity(nc).to_rows()
-    rank = _smith(sm, nr, nc)
-    return SnfResult(
-        IntMatrix.from_rows([r[nc:] for r in sm[:nr]], cols=nr),
-        IntMatrix.from_rows([r[:nc] for r in sm[:nr]], cols=nc),
-        IntMatrix.from_rows(sm[nr:], cols=nc),
-        rank,
-    )
+    if m._snf is None:
+        nr, nc = m.rows, m.cols
+        sm = [r + e for r, e in zip(m.to_rows(), IntMatrix.identity(nr).to_rows())]
+        sm += IntMatrix.identity(nc).to_rows()
+        rank = _smith(sm, nr, nc)
+        m._snf = SnfResult(
+            IntMatrix.from_rows([r[nc:] for r in sm[:nr]], cols=nr),
+            IntMatrix.from_rows([r[:nc] for r in sm[:nr]], cols=nc),
+            IntMatrix.from_rows(sm[nr:], cols=nc),
+            rank,
+        )
+    return m._snf
 
 
 def invariant_factors(m: IntMatrix) -> tuple:
     """Nonzero diagonal d1 | d2 | ... of the Smith form, without transforms.
 
-    Cheaper than :func:`snf` when only ranks and cokernels are needed.
-    Unit pivots are eliminated sparsely first (each is an invariant factor
-    1); the remaining rows and columns go through the dense elimination.
+    Once :func:`snf` has run on ``m``, this is the diagonal of its S.
+    Otherwise it is cheaper than :func:`snf` and keeps nothing: unit
+    pivots are eliminated sparsely first (each is an invariant factor 1),
+    and the remaining rows and columns go through the dense elimination.
     """
+    if m._snf is not None:
+        return m._snf.s.diagonal()[: m._snf.rank]
     units, sm, nc = eliminate_units([dict(r) for r in m._sparse], m.cols)
     rank = _smith(sm, len(sm), nc)
     return (1,) * units + tuple(sm[k][k] for k in range(rank))
@@ -358,9 +382,14 @@ def kernel_basis(m: IntMatrix) -> list:
     """Basis of {x : m @ x = 0} spanning a direct summand of Z^cols.
 
     Returns cols - rank vectors (the trailing columns of the right
-    transform of :func:`snf`); empty when the map is injective. Only the
-    right transform is recorded, as unit rows below m.
+    transform of :func:`snf`); empty when the map is injective. Once
+    :func:`snf` has run on ``m`` they are read from its V. Otherwise only
+    the right transform is recorded, as unit rows below m, and nothing is
+    kept.
     """
+    if m._snf is not None:
+        vt = m._snf.v.transpose()
+        return [vt.row(j) for j in range(m._snf.rank, m.cols)]
     nr, nc = m.rows, m.cols
     sm = m.to_rows() + IntMatrix.identity(nc).to_rows()
     rank = _smith(sm, nr, nc)

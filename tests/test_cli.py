@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -171,6 +172,23 @@ def test_snf_size_is_capped(capsys, tmp_path):
     code, out, _ = run(capsys, "snf", str(p))
     assert code == 0
     assert out == "rows: 0\ncols: 3\nrank: 0\ndiagonal: (empty)\n"
+
+
+def test_snf_cap_is_checked_before_the_matrix_is_built(capsys, tmp_path):
+    # An R x 0 file needs no row lines, so its header alone would ask for
+    # one row per declared row if the matrix were built before the cap check.
+    cap = cli._SIZE_CAP
+    p = tmp_path / "m.txt"
+    p.write_text("1000000000 0\n")
+    tracemalloc.start()
+    try:
+        code, stdout, err = run(capsys, "snf", str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and stdout == ""
+    assert f"matrix must be at most {cap} x {cap}, got 1000000000 x 0" in err
+    assert peak < 1_000_000
 
 
 def test_snf_zero_columns(capsys, tmp_path):

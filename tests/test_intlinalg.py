@@ -6,6 +6,7 @@ by the library code.
 """
 
 import random
+import tracemalloc
 from itertools import combinations
 from math import gcd
 
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graphkt import intlinalg
+from graphkt.graphio import parse_matrix
 from graphkt.graphs import INF, Graph, block_decomposition
 from graphkt.harness import RandomGraphParams, random_graph
 from graphkt.intlinalg import (
@@ -129,6 +132,38 @@ class TestIntMatrix:
     def test_transpose_involution(self):
         m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert m.transpose().transpose() == m
+
+    def test_from_rows_validation(self):
+        with pytest.raises(ValueError, match="ragged rows"):
+            IntMatrix.from_rows([[1, 2], [3]])
+        with pytest.raises(TypeError, match="non-integer entry: 1.5"):
+            IntMatrix.from_rows([[1, 2], [1.5, 0]])
+        # zero-valued entries are checked too, not just the stored ones
+        with pytest.raises(TypeError, match="non-integer entry: 0.0"):
+            IntMatrix.from_rows([[1, 0.0]])
+        # a ragged row anywhere is reported before a bad entry in an earlier row
+        with pytest.raises(ValueError, match="ragged rows"):
+            IntMatrix.from_rows([[0.5, 1], [1]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            IntMatrix.from_rows([], cols=-1)
+        # rows may be any iterables
+        rows = iter([(1, 0), iter([0, 2]), [3, 0]])
+        assert IntMatrix.from_rows(rows) == IntMatrix(3, 2, [1, 0, 0, 2, 3, 0])
+
+    def test_parsing_holds_no_flat_copy(self):
+        # 3600 entries: one flat list of them and its tuple copy would add
+        # 58 KB to the peak; the row dicts themselves hold about 133 KB
+        text = "60 60\n" + "".join(
+            " ".join(str((i * 7 + j * 3) % 7 - 3) for j in range(60)) + "\n" for i in range(60)
+        )
+        tracemalloc.start()
+        try:
+            m = parse_matrix(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.rows == m.cols == 60
+        assert peak - held < 100_000
 
 
 def stores_no_zero(m):
@@ -267,8 +302,9 @@ class TestSnfProperties:
             assert invariant_factors(m) == invariant_factors(m.transpose())
 
     def test_determinism(self):
-        m = IntMatrix.from_rows([[3, 1, -4], [1, 5, 9], [-2, 6, 5]])
-        assert snf(m) == snf(m)
+        # two instances: a second call on one instance returns its memo
+        rows = [[3, 1, -4], [1, 5, 9], [-2, 6, 5]]
+        assert snf(IntMatrix.from_rows(rows)) == snf(IntMatrix.from_rows(rows))
 
     def test_torsion_order_vs_cofactor_oracle(self):
         rng = random.Random(4242)
@@ -288,9 +324,15 @@ class TestSnfProperties:
 
     @given(sparse_matrices(8))
     def test_factors_match_the_diagonal_of_snf(self, m):
-        # invariant_factors eliminates unit pivots sparsely; snf is dense
+        # invariant_factors eliminates unit pivots sparsely; snf is dense.
+        # The fresh equal matrix carries no memo, so its call takes the
+        # sparse route; the call on m reads the diagonal snf kept.
+        fresh = IntMatrix.from_rows(m.to_rows(), cols=m.cols)
         res = snf(m)
-        assert invariant_factors(m) == res.s.diagonal()[: res.rank]
+        factors = invariant_factors(fresh)
+        assert fresh._snf is None
+        assert factors == res.s.diagonal()[: res.rank]
+        assert repr(invariant_factors(m)) == repr(factors)
 
     @given(sparse_matrices(4))
     def test_factors_match_determinantal_divisors(self, m):
@@ -343,9 +385,15 @@ class TestKernel:
 
     @given(sparse_matrices(6))
     def test_basis_is_the_tail_of_the_snf_right_transform(self, m):
+        # the fresh equal matrix carries no memo, so its basis comes from an
+        # elimination of its own; the call on m reads the V that snf kept
+        fresh = IntMatrix.from_rows(m.to_rows(), cols=m.cols)
         res = snf(m)
         tail = [tuple(res.v[i, j] for i in range(m.cols)) for j in range(res.rank, m.cols)]
-        assert kernel_basis(m) == tail
+        basis = kernel_basis(fresh)
+        assert fresh._snf is None
+        assert basis == tail
+        assert repr(kernel_basis(m)) == repr(basis)
 
     def test_soundness_randomized(self):
         from math import gcd
@@ -363,6 +411,71 @@ class TestKernel:
                 for e in x:
                     g = gcd(g, e)
                 assert g == 1
+
+
+MEMO_TEXT = "3 4\n2 4 -6 0\n1 -1 3 5\n3 3 -3 5\n"
+
+
+class TestSnfMemo:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        smith = intlinalg._smith
+
+        def counting(sm, nr, nc):
+            seen.append((nr, nc))
+            return smith(sm, nr, nc)
+
+        monkeypatch.setattr(intlinalg, "_smith", counting)
+        return seen
+
+    def test_snf_kernel_cokernel_eliminate_once(self, calls):
+        m = parse_matrix(MEMO_TEXT)
+        res = snf(m)
+        basis = kernel_basis(m)
+        group = cokernel(m)
+        assert len(calls) == 1
+        assert m._snf is res
+        assert (res.rank, len(basis), group) == (2, 2, AbelianGroup(1, (2,)))
+
+    def test_snf_returns_its_memo(self, calls):
+        m = parse_matrix(MEMO_TEXT)
+        assert snf(m) is snf(m)
+        assert len(calls) == 1
+
+    def test_equal_matrices_eliminate_separately(self, calls):
+        for m in (parse_matrix(MEMO_TEXT), parse_matrix(MEMO_TEXT)):
+            snf(m)
+            kernel_basis(m)
+            cokernel(m)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("lone", [kernel_basis, cokernel, invariant_factors])
+    def test_lone_call_eliminates_and_keeps_nothing(self, calls, lone):
+        m = parse_matrix(MEMO_TEXT)
+        first = lone(m)
+        assert lone(m) == first
+        assert len(calls) == 2
+        assert m._snf is None
+
+    @given(st.integers(0, 2**32), st.integers(0, 2))
+    def test_builders_leave_their_input_matrices_unchanged(self, seed, declare):
+        # the blocks and the stacked map carry memos here; no builder may
+        # change the rows of a matrix it reads
+        g = random_graph(RandomGraphParams(seed=seed, max_vertices=10, max_multiplicity=3))
+        g = Graph(g.vertices, g.edges, g.vertices[:declare])
+        dec = block_decomposition(g)
+        stacked = stacked_matrix(dec)
+        inputs = (dec.b_block, dec.c_block, stacked)
+        memos = [snf(m) for m in inputs]
+        before = [[dict(r) for r in m._sparse] for m in inputs]
+        block_decomposition(g)
+        stacked_matrix(dec)
+        row_matrix(dec)
+        for m, rows, memo in zip(inputs, before, memos):
+            assert m._sparse == rows
+            assert m._snf is memo
+            assert snf(IntMatrix.from_rows(m.to_rows(), cols=m.cols)) == memo
 
 
 class TestCokernel:
