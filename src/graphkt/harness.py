@@ -7,8 +7,8 @@ The suite generates seeded random graphs and checks, per graph:
   P3  all-singular graphs compute to (Z^n, 0, 0) at the matrix level
   P4  with no singular vertices the stacked map reduces to the full
       vertex matrix
-  P5  truncated tails reach the original K-groups and stay there while
-      the tail grows (onset discovered by scanning, never assumed)
+  P5  tails from ``desingularize`` reach the original K-groups and stay
+      there as they grow (``truncation_scan``; onset never assumed)
   P6  permuting tail target orders leaves the stabilized K-groups alone
 
 Every failure embeds the seed that regenerates the exact graph.
@@ -23,7 +23,7 @@ from .graphio import emit_graph
 from .graphs import Graph, INF, block_decomposition, singular_vertices
 from .intlinalg import AbelianGroup, IntMatrix, cokernel, cokernel_of_factors, invariant_factors
 from .ktheory import corollary_applies, k_groups, row_matrix
-from .tails import _singular_plans, _write_tails
+from .tails import desingularize
 
 SCAN_BUDGET = 12
 SCAN_WINDOW = 5
@@ -124,46 +124,36 @@ EA_NOTE = (
 class ScanResult:
     """Outcome of scanning tail lengths: 'skip' (nothing to desingularize),
     'stable' (K-groups equal the original from ``onset`` through
-    ``onset + window``), 'mismatch' (K-groups settled on a different
-    value), or 'inconclusive' (still drifting at the end of the budget)."""
+    ``onset + SCAN_WINDOW``), 'mismatch' (K-groups settled on a different
+    value), or 'inconclusive' (still drifting after SCAN_BUDGET)."""
 
     status: str
     onset: int | None = None
     value: tuple | None = None
 
 
-def truncation_scan(
-    g: Graph,
-    budget: int = SCAN_BUDGET,
-    window: int = SCAN_WINDOW,
-    orderings=None,
-) -> ScanResult:
-    """Scan tail lengths upward, looking for stabilization at the original
-    K-groups. Never assumes an onset; a run that settles on the wrong value
-    is a mismatch, a run that keeps moving is inconclusive."""
+def truncation_scan(g: Graph, orderings=None) -> ScanResult:
+    """Scan tail lengths n = 1, 2, ... of ``desingularize(g, n, orderings)``
+    for stabilization at the original K-groups: an onset up to SCAN_BUDGET
+    that holds for SCAN_WINDOW more lengths. Never assumes an onset; a run
+    that settles on the wrong value is a mismatch, a run that keeps moving
+    is inconclusive."""
     if not singular_vertices(g):
         return ScanResult("skip")
     target = k_groups(g)
-    return _scan(g, (target.k0, target.k1), budget, window, orderings)
-
-
-def _scan(g: Graph, goal: tuple, budget: int, window: int, orderings) -> ScanResult:
-    """The scan of :func:`truncation_scan` for a graph with singular
-    vertices whose K-groups ``goal`` are already known. The tail plans are
-    made once, and each length n rewrites them as ``desingularize`` would."""
-    plans = list(_singular_plans(g, 1, orderings))
+    goal = (target.k0, target.k1)
     memo: dict[int, tuple] = {}
 
     def at(n: int) -> tuple:
         if n not in memo:
-            r = k_groups(_write_tails(g, [replace(p, tail_length=n) for p in plans]))
+            r = k_groups(desingularize(g, n, orderings))
             memo[n] = (r.k0, r.k1)
         return memo[n]
 
-    for onset in range(1, budget + 1):
-        if at(onset) == goal and all(at(onset + d) == goal for d in range(1, window + 1)):
+    for onset in range(1, SCAN_BUDGET + 1):
+        if at(onset) == goal and all(at(onset + d) == goal for d in range(1, SCAN_WINDOW + 1)):
             return ScanResult("stable", onset, goal)
-    tail = [at(budget + d) for d in range(window + 1)]
+    tail = [at(SCAN_BUDGET + d) for d in range(SCAN_WINDOW + 1)]
     if all(t == tail[0] for t in tail):
         return ScanResult("mismatch", None, tail[0])
     return ScanResult("inconclusive")
@@ -273,8 +263,7 @@ def _check_graph(g: Graph, rng: random.Random) -> dict:
         outcomes["P5"] = ("skip", None)
         outcomes["P6"] = ("skip", None)
         return outcomes
-    goal = (result.k0, result.k1)
-    scan = _scan(g, goal, SCAN_BUDGET, SCAN_WINDOW, None)
+    scan = truncation_scan(g)
     if scan.status == "stable":
         outcomes["P5"] = ("pass", None)
     elif scan.status == "mismatch":
@@ -300,7 +289,7 @@ def _check_graph(g: Graph, rng: random.Random) -> dict:
     elif scan.status != "stable":
         outcomes["P6"] = ("skip", "default ordering did not stabilize")
     else:
-        other = _scan(g, goal, SCAN_BUDGET, SCAN_WINDOW, permuted)
+        other = truncation_scan(g, permuted)
         if other.status == "stable" and other.value == scan.value:
             outcomes["P6"] = ("pass", None)
         elif other.status == "inconclusive":

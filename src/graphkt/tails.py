@@ -7,6 +7,8 @@ receives one edge from each of v_j, v_{j+1}, ..., v_{j+C-1}. Tails here
 are truncated at a finite length n, so edges whose source index would be
 n or larger are dropped and vn stays a sink. Every tail of one call is
 written into a single copy of the edge map, and one graph is built.
+:func:`add_tail` checks a caller's plan against the graph; the plans of
+:func:`desingularize` come from the graph, so only fresh names are checked.
 """
 
 from __future__ import annotations
@@ -53,31 +55,18 @@ def tail_plan(g: Graph, base: str, tail_length: int, order=None) -> TailPlan:
 
 def _write_tails(g: Graph, plans) -> Graph:
     """Write each plan's tail into one copy of ``g``'s vertices and edges and
-    build one graph. Plans are checked against ``g``: bases must be distinct."""
+    build one graph. Each plan must fit ``g`` as :func:`add_tail` checks,
+    with distinct bases; only fresh-name clashes, which depend on the
+    length, are checked here."""
     vertices = list(g.vertices)
     edges = g.edges
     for plan in plans:
         base, n = plan.base, plan.tail_length
-        if base not in g:
-            raise ValueError(f"unknown vertex: {base!r}")
-        if n < 1:
-            raise ValueError("tail_length must be >= 1")
-        if base in g.declared_singular:
-            raise TailError(
-                f"{base!r} is declared singular: its hidden edges are not represented, "
-                "so a tail cannot reproduce them"
-            )
-        m = out_multiplicity(g, base)
-        if m != 0 and m is not INF:
-            raise TailError(f"{base!r} is not singular (it emits {m} edges)")
-        targets = g.out_edges(base)
-        if dict(plan.ordering) != dict(targets) or len(plan.ordering) != len(targets):
-            raise ValueError(f"tail plan does not match the out-edges of {base!r}")
         fresh = [f"{base}${k}" for k in range(1, n + 1)]
         for name in fresh:
             if name in g:
                 raise TailError(f"fresh tail vertex name already in use: {name!r}")
-        for w, _c in targets:
+        for w, _c in plan.ordering:
             del edges[(base, w)]
         chain = [base, *fresh]
         edges.update(dict.fromkeys(zip(chain, fresh), 1))
@@ -95,12 +84,35 @@ def add_tail(g: Graph, plan: TailPlan) -> Graph:
     Fresh vertices are named ``<base>$1 .. <base>$n``. Vertex ids may
     contain '$'; a fresh name already in the graph raises TailError.
     """
+    base = plan.base
+    if base not in g:
+        raise ValueError(f"unknown vertex: {base!r}")
+    if plan.tail_length < 1:
+        raise ValueError("tail_length must be >= 1")
+    if base in g.declared_singular:
+        raise TailError(
+            f"{base!r} is declared singular: its hidden edges are not represented, "
+            "so a tail cannot reproduce them"
+        )
+    m = out_multiplicity(g, base)
+    if m != 0 and m is not INF:
+        raise TailError(f"{base!r} is not singular (it emits {m} edges)")
+    targets = g.out_edges(base)
+    if dict(plan.ordering) != dict(targets) or len(plan.ordering) != len(targets):
+        raise ValueError(f"tail plan does not match the out-edges of {base!r}")
     return _write_tails(g, [plan])
 
 
-def _singular_plans(g: Graph, tail_length: int, orderings=None):
-    """Check ``g`` and ``orderings``, then return a generator of the plans
-    of its singular vertices, so each plan error is raised at its vertex."""
+def desingularize(g: Graph, tail_length: int, orderings=None) -> Graph:
+    """Add one truncated tail at every singular vertex of ``g``.
+
+    Only the original graph's singular vertices are processed; the sinks
+    created by truncation are left alone. ``orderings`` optionally maps a
+    singular vertex to its target order. The first vertex, in vertex
+    order, with a bad ordering or a fresh-name clash raises.
+    """
+    if tail_length < 1:
+        raise ValueError("tail_length must be >= 1")
     if g.declared_singular:
         raise TailError(
             "graph has declared-singular vertices; their hidden edges cannot be given tails"
@@ -110,16 +122,4 @@ def _singular_plans(g: Graph, tail_length: int, orderings=None):
     unknown = sorted(set(orderings) - set(sing))
     if unknown:
         raise ValueError(f"ordering given for non-singular vertex: {unknown[0]!r}")
-    return (tail_plan(g, v, tail_length, orderings.get(v)) for v in sing)
-
-
-def desingularize(g: Graph, tail_length: int, orderings=None) -> Graph:
-    """Add one truncated tail at every singular vertex of ``g``.
-
-    Only the original graph's singular vertices are processed; the sinks
-    created by truncation are left alone. ``orderings`` optionally maps a
-    singular vertex to its target order.
-    """
-    if tail_length < 1:
-        raise ValueError("tail_length must be >= 1")
-    return _write_tails(g, _singular_plans(g, tail_length, orderings))
+    return _write_tails(g, (tail_plan(g, v, tail_length, orderings.get(v)) for v in sing))

@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from graphkt import harness, tails
+from graphkt import harness, ktheory, tails
 from graphkt.catalog import CATALOG, load, verify_catalog
-from graphkt.graphs import INF, Graph, singular_vertices
+from graphkt.graphs import INF, Graph, block_decomposition, singular_vertices
 from graphkt.harness import (
     RandomGraphParams,
     derive_seed,
@@ -130,34 +130,57 @@ class TestRunProperties:
         params = RandomGraphParams(seed=1, min_vertices=5, max_vertices=5,
                                    sink_probability=0.4)
         g = random_graph(replace(params, seed=derive_seed(params.seed, 0)))
-        calls = []
+        built = []
 
         def counting(h):
-            calls.append(h)
-            return k_groups(h)
+            built.append(h)
+            return block_decomposition(h)
 
-        monkeypatch.setattr(harness, "k_groups", counting)
+        monkeypatch.setattr(ktheory, "block_decomposition", counting)
         report = run_properties(params, 1)
         assert report.properties["P5"].passed == 1
         assert report.properties["P6"].passed == 1
-        # P1 computes the graph's K-groups; the P5 and P6 scans reuse them
-        assert sum(h == g for h in calls) == 1
+        # P1 builds and eliminates the graph's stacked map; the P5 and P6
+        # scans read the graph's K-groups from the same instance
+        assert sum(h == g for h in built) == 1
 
-    def test_scan_finds_the_singular_vertices_once(self, monkeypatch):
-        # the scan tries at least six tail lengths; the singular vertices and
-        # their target orders do not depend on the length
+    def test_p5_and_p6_run_the_public_scan(self, monkeypatch):
+        params = RandomGraphParams(seed=1, min_vertices=5, max_vertices=5,
+                                   sink_probability=0.4)
+        g = random_graph(replace(params, seed=derive_seed(params.seed, 0)))
+        scan = harness.truncation_scan
+        calls = []
+
+        def counting(h, orderings=None):
+            calls.append((h, orderings))
+            return scan(h, orderings)
+
+        monkeypatch.setattr(harness, "truncation_scan", counting)
+        report = run_properties(params, 1)
+        assert report.properties["P5"].passed == 1
+        assert report.properties["P6"].passed == 1
+        assert [h for h, _o in calls] == [g, g]
+        assert calls[0][1] is None
+        permuted = calls[1][1]
+        assert permuted and set(permuted) <= set(singular_vertices(g))
+
+    def test_scan_desingularizes_once_per_length(self, monkeypatch):
         g = Graph(["a", "b", "s"], {("a", "b"): 1, ("b", "a"): 2, ("b", "s"): 1,
                                     ("a", "a"): INF})
         calls = []
 
-        def counting(h):
-            calls.append(h)
-            return singular_vertices(h)
+        def counting(h, n, orderings=None):
+            calls.append((h, n, orderings))
+            return tails.desingularize(h, n, orderings)
 
-        monkeypatch.setattr(tails, "singular_vertices", counting)
-        assert harness.truncation_scan(g).status == "stable"
-        assert harness.truncation_scan(g, orderings={"a": ["b", "a"]}).status == "stable"
-        assert calls == [g, g]
+        monkeypatch.setattr(harness, "desingularize", counting)
+        # stable from length 1, so the scan tries 1 .. 1 + SCAN_WINDOW once each
+        for orderings in (None, {"a": ["b", "a"]}):
+            calls.clear()
+            assert harness.truncation_scan(g, orderings).status == "stable"
+            lengths = [n for _h, n, _o in calls]
+            assert lengths == list(range(1, 2 + harness.SCAN_WINDOW))
+            assert all(h is g and o is orderings for h, _n, o in calls)
 
     def test_loop_only_graph_skips_p5(self):
         # a graph with no singular vertices has nothing to desingularize

@@ -64,6 +64,9 @@ class TestAddTail:
         g = Graph(["v0"], {("v0", "v0"): 2})
         with pytest.raises(TailError, match="not singular"):
             add_tail(g, TailPlan("v0", (("v0", 2),), 1))
+        # an unknown base is reported before anything else about the plan
+        with pytest.raises(ValueError, match="unknown vertex: 'u'"):
+            add_tail(g, TailPlan("u", (), 0))
 
     def test_rejects_declared_singular_base(self):
         g = Graph(["v0", "w"], {("v0", "w"): 1}, {"v0"})
@@ -79,6 +82,12 @@ class TestAddTail:
         g = Graph(["v0", "w"], {("v0", "w"): INF})
         with pytest.raises(ValueError, match="does not match"):
             add_tail(g, TailPlan("v0", (("w", 3),), 2))
+        # a length below 1 is reported before the ordering
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="tail_length must be >= 1"):
+                add_tail(g, TailPlan("v0", (("w", INF),), n))
+            with pytest.raises(ValueError, match="tail_length must be >= 1"):
+                add_tail(g, TailPlan("v0", (("w", 3),), n))
 
     def test_ordering_must_cover_targets(self):
         g = Graph(["v0", "a", "b"], {("v0", "a"): INF, ("v0", "b"): INF})
@@ -181,14 +190,19 @@ class TestDesingularize:
 
     def test_first_failing_vertex_raises(self):
         # a's fresh name a$1 is taken; v, later in vertex order, has a bad
-        # ordering. Tailing one vertex at a time stops at a.
+        # ordering. Tailing one vertex at a time stops at a, and so does a
+        # scan, which tails through desingularize.
         edges = {("v", "w"): INF, ("v", "a"): INF, ("w", "w"): 1}
         g = Graph(["a", "a$1", "v", "w"], edges)
         with pytest.raises(TailError, match=r"already in use: 'a\$1'"):
             desingularize(g, 1, {"v": ["w"]})
+        with pytest.raises(TailError, match=r"already in use: 'a\$1'"):
+            truncation_scan(g, {"v": ["w"]})
         g = Graph(["a", "v", "w"], edges)
         with pytest.raises(ValueError, match="exactly once"):
             desingularize(g, 1, {"v": ["w"]})
+        with pytest.raises(ValueError, match="exactly once"):
+            truncation_scan(g, {"v": ["w"]})
 
 
 class TestWorkedTruncation:
