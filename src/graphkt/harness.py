@@ -137,8 +137,11 @@ def truncation_scan(g: Graph, orderings=None) -> ScanResult:
     for stabilization at the original K-groups: an onset up to SCAN_BUDGET
     that holds for SCAN_WINDOW more lengths. Never assumes an onset; a run
     that settles on the wrong value is a mismatch, a run that keeps moving
-    is inconclusive."""
+    is inconclusive. ``orderings`` are checked as ``desingularize`` checks
+    them, also on a graph that is skipped."""
     if not singular_vertices(g):
+        if orderings:
+            raise ValueError(f"ordering given for non-singular vertex: {min(orderings)!r}")
         return ScanResult("skip")
     target = k_groups(g)
     goal = (target.k0, target.k1)

@@ -229,14 +229,6 @@ def _row_submul(m, i, t, q):
             ri[k] -= q * e
 
 
-def _col_submul(m, j, t, q):
-    # column j -= q * column t
-    for row in m:
-        e = row[t]
-        if e:
-            row[j] -= q * e
-
-
 def _find_pivot(sm, nr, nc, t):
     """Position of a nonzero entry of minimal absolute value in sm[t:nr, t:nc]."""
     best = None
@@ -283,6 +275,11 @@ def _smith(sm, nr, nc) -> int:
     Pivot choice: nonzero entry of minimal absolute value in the working
     submatrix, which bounds coefficient growth at the sizes this package
     produces. A final gcd-repair pass restores the divisibility chain.
+
+    The pivot row is fixed while it clears the pivot column, and the pivot
+    column while it clears the pivot row. So each pass lists their nonzeros
+    once and updates only the entries those reach; the arithmetic is that
+    of whole-row and whole-column operations.
     """
     t = 0
     while t < nr and t < nc:
@@ -295,24 +292,30 @@ def _smith(sm, nr, nc) -> int:
                 sm[pi], sm[t] = sm[t], sm[pi]
             if pj != t:
                 _swap_cols(sm, pj, t)
-            p = sm[t][t]
+            prow = sm[t]
+            p = prow[t]
             dirty = False
+            pnz = [(k, x) for k, x in enumerate(prow) if x]
             for i in range(t + 1, nr):
-                e = sm[i][t]
+                ri = sm[i]
+                e = ri[t]
                 if e:
                     q = e // p
                     if q:
-                        _row_submul(sm, i, t, q)
-                    if sm[i][t]:
+                        for k, x in pnz:
+                            ri[k] -= q * x
+                    if ri[t]:
                         dirty = True
             if not dirty:
+                pcol = [(row, row[t]) for row in sm if row[t]]
                 for j in range(t + 1, nc):
-                    e = sm[t][j]
+                    e = prow[j]
                     if e:
                         q = e // p
                         if q:
-                            _col_submul(sm, j, t, q)
-                        if sm[t][j]:
+                            for row, x in pcol:
+                                row[j] -= q * x
+                        if prow[j]:
                             dirty = True
             if not dirty:
                 break

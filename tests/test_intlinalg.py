@@ -5,6 +5,7 @@ determinantal divisors (invariant factors), written here and never used
 by the library code.
 """
 
+import hashlib
 import random
 import tracemalloc
 from itertools import combinations
@@ -29,6 +30,7 @@ from graphkt.intlinalg import (
     snf,
 )
 from graphkt.ktheory import row_matrix, stacked_matrix
+from graphkt.tails import desingularize
 
 
 def cofactor_det(rows):
@@ -80,11 +82,83 @@ def sparse_matrices(draw, max_dim):
     return IntMatrix(r, c, [0 if k < zero_share else e for k, e in cells])
 
 
+@st.composite
+def unit_phase_matrices(draw, max_dim):
+    """sparse_matrices(max_dim) with planted shapes that the sparse unit
+    phase treats apart: rows that are a multiple of another row plus at
+    most one change, so that eliminating the other row cancels entries and
+    column counts drop; lone +-1 and +-2 entries in a row or a column; and
+    empty rows and columns."""
+    m = draw(sparse_matrices(max_dim))
+    rows, ncols = m.to_rows(), m.cols
+    if not rows or not ncols:
+        return m
+    for _ in range(draw(st.integers(0, 2))):
+        row = [draw(st.sampled_from([1, -1, 2])) * e for e in draw(st.sampled_from(rows))]
+        row[draw(st.integers(0, ncols - 1))] += draw(st.sampled_from([0, 1, -2]))
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["row", "column", "empty row", "empty column"]))
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, ncols - 1))
+        v = draw(st.sampled_from([1, -1, 2, -2]))
+        if kind == "row":
+            rows[i] = [v if k == j else 0 for k in range(ncols)]
+        elif kind == "column":
+            for k, row in enumerate(rows):
+                row[j] = v if k == i else 0
+        elif kind == "empty row":
+            rows[i] = [0] * ncols
+        else:
+            for row in rows:
+                row[j] = 0
+    return IntMatrix.from_rows(rows, cols=ncols)
+
+
+@st.composite
+def desingularized_maps(draw):
+    """Stacked maps of small random graphs with tails, whose long chains of
+    +-1 entries the unit phase takes as fill-free pivots."""
+    g = random_graph(RandomGraphParams(seed=draw(st.integers(0, 2**32)), max_vertices=8,
+                                       max_multiplicity=3))
+    return stacked_matrix(block_decomposition(desingularize(g, draw(st.integers(1, 3)))))
+
+
 def random_matrix(rng, max_dim=6, lo=-9, hi=9):
     r, c = rng.randint(1, max_dim), rng.randint(1, max_dim)
     return IntMatrix.from_rows(
         [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)], cols=c
     )
+
+
+def dependent_matrix(seed, nrows, ncols, dependent):
+    """Seeded nrows x ncols matrix with entries in [-3, 3] whose rows include
+    ``dependent`` sums or differences of two other rows (or a negated row
+    when no such sum stays in range), placed at seeded positions."""
+    rng = random.Random(seed)
+    rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows - dependent)]
+    for _ in range(dependent):
+        pairs = [(a, b, s) for a in range(len(rows)) for b in range(a) for s in (1, -1)]
+        rng.shuffle(pairs)
+        for a, b, s in pairs:
+            row = [x + s * y for x, y in zip(rows[a], rows[b])]
+            if all(-3 <= x <= 3 for x in row):
+                break
+        else:
+            row = [-x for x in rows[rng.randrange(len(rows))]]
+        rows.insert(rng.randrange(len(rows) + 1), row)
+    return IntMatrix.from_rows(rows, cols=ncols)
+
+
+# No entry is +-1 and the minimal |entry| 2 occurs with both signs in every
+# row, so the pivot choice among ties decides the transforms.
+TIED_MINIMA = [
+    [4, -2, 6, 2, -6, 3],
+    [-2, 6, 2, 4, 3, -4],
+    [6, 2, -2, 8, -3, 2],
+    [2, -4, 8, -2, 6, 6],
+    [-4, 3, -2, 2, 9, -2],
+]
 
 
 def assert_snf_contract(m, res):
@@ -267,6 +341,24 @@ class TestSnfExamples:
         assert (res.u.to_rows(), res.s.to_rows(), res.v.to_rows()) == (u, s, v)
         assert res.rank == len(rows)
 
+    @pytest.mark.parametrize("m,rank,digest", [
+        (dependent_matrix(1, 12, 12, 2), 10,
+         "d9edb668b2d6bedd71f02d964c3a1178fa7f84e653318c41531c6657ab5bce91"),
+        (dependent_matrix(2, 18, 16, 3), 15,
+         "b8db3c14e899a3ef2a20a5e462d7b9e5e76ed9ff6110055767db78cee1915d9d"),
+        (dependent_matrix(3, 24, 24, 5), 19,
+         "c08d29d5db5b06d9f9c080ad5b32fb1d414327c7ca4f0fa3053b25abaee1d8cf"),
+        (IntMatrix.from_rows(TIED_MINIMA), 5,
+         "e1409acc731b9bc4e739b75b852b302473be225c6708524e4aa29c0f88e07546"),
+    ], ids=["12x12", "18x16", "24x24", "tied-minima"])
+    def test_frozen_transform_digests(self, m, rank, digest):
+        # larger transforms, pinned by the sha256 of their dense rows
+        res = snf(m)
+        assert_snf_contract(m, res)
+        assert res.rank == rank
+        text = repr((res.u.to_rows(), res.s.to_rows(), res.v.to_rows(), res.rank))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestSnfProperties:
     def test_reconstruction_randomized(self):
@@ -322,7 +414,7 @@ class TestSnfProperties:
             assert prod == abs(d)
             checked += 1
 
-    @given(sparse_matrices(8))
+    @given(st.one_of(sparse_matrices(8), unit_phase_matrices(8), desingularized_maps()))
     def test_factors_match_the_diagonal_of_snf(self, m):
         # invariant_factors eliminates unit pivots sparsely; snf is dense.
         # The fresh equal matrix carries no memo, so its call takes the

@@ -227,7 +227,16 @@ class TestWorkedTruncation:
             assert (r.k0, r.k1) == (base.k0, base.k1)
 
     def test_scan_skips_regular_graphs(self):
-        assert truncation_scan(Graph(["v"], {("v", "v"): 3})).status == "skip"
+        g = Graph(["v"], {("v", "v"): 3})
+        assert truncation_scan(g).status == "skip"
+        assert truncation_scan(g, {}).status == "skip"
+        # an ordering for a regular or a missing vertex is an error before
+        # the skip, with desingularize's message
+        for orderings, name in (({"v": ["v"]}, "'v'"), ({"x": ["v"], "w": []}, "'w'")):
+            for call in (lambda: desingularize(g, 1, orderings),
+                         lambda: truncation_scan(g, orderings)):
+                with pytest.raises(ValueError, match=f"non-singular vertex: {name}"):
+                    call()
 
     def test_scan_finds_stabilization(self):
         res = truncation_scan(infinite_loop())
