@@ -13,8 +13,10 @@ import sys
 from pathlib import Path
 
 from .catalog import verify_catalog
-from .errors import ConditionLViolation, DomainError, ParseError
-from .graphio import emit_graph, matrix_shape, parse_graph, parse_matrix
+from .errors import ConditionLViolation, DomainError
+# The snf matrix cap also caps --truncate, --max-vertices, --max-n and the
+# total tail length of desingularize, bounding output and elimination work.
+from .graphio import MATRIX_CAP as _SIZE_CAP, emit_graph, parse_graph, parse_matrix
 from .graphs import condition_l, is_row_finite, singular_vertices
 from .harness import (
     EA_LIMITS,
@@ -27,12 +29,6 @@ from .harness import (
 )
 from .intlinalg import AbelianGroup, det_bareiss, group_format, snf
 from .ktheory import ext_group, k_groups
-
-
-# Largest accepted --truncate, --max-vertices and --max-n, total tail
-# length of desingularize, and matrix side of snf. It bounds the output
-# size and the elimination work; the largest benchmark graph has 650 vertices.
-_SIZE_CAP = 2000
 
 
 class _UsageError(Exception):
@@ -167,11 +163,7 @@ def _chain_ok(diag, rank) -> bool:
 
 
 def _cmd_snf(args) -> int:
-    text = Path(args.matrixfile).read_text()
-    rows, cols = matrix_shape(text)
-    if max(rows, cols) > _SIZE_CAP:
-        raise ValueError(f"matrix must be at most {_SIZE_CAP} x {_SIZE_CAP}, got {rows} x {cols}")
-    m = parse_matrix(text)
+    m = parse_matrix(Path(args.matrixfile).read_text())
     res = snf(m)
     diag = res.s.diagonal()
     verified = (
@@ -315,16 +307,10 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except DomainError as e:
         print(str(e))
         return 2
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # anything else is a bug in this package

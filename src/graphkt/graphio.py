@@ -12,6 +12,10 @@ Vertices are auto-declared on first mention in edge lines. Repeated edge
 lines for the same pair accumulate, absorbing to "inf". Emission is
 canonical (vertices, then edges in source/target vertex order, then
 singular marks), so emit(parse(emit(g))) == emit(g) byte for byte.
+
+Matrix files have a first line "rows cols" and then one line of integers
+per row. parse_matrix rejects a declared side above MATRIX_CAP from the
+first line alone, so the library and `graphkt snf` share one bound.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ _NUM = re.compile(r"[0-9]+\Z")
 _INT = re.compile(r"-?[0-9]+\Z")
 
 HEADER = "# directed multigraph"
+
+# Largest matrix side parse_matrix accepts.
+MATRIX_CAP = 2000
 
 
 def _check_id(tok: str, ln: int) -> str:
@@ -114,9 +121,11 @@ def emit_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _split_matrix(text: str) -> tuple:
-    """Line number, rows and cols of a matrix file's checked header, and
-    its remaining nonblank lines as (line number, text)."""
+def parse_matrix(text: str) -> IntMatrix:
+    """Parse a matrix file: first line "rows cols", then that many rows of
+    space-separated integers. Blank lines are ignored, so a matrix with no
+    columns has no row lines. A side above MATRIX_CAP is rejected before
+    any row is read or built (an R x 0 file needs no row lines)."""
     lines = [(i, l.strip()) for i, l in enumerate(text.splitlines(), start=1) if l.strip()]
     if not lines:
         raise ParseError(1, "empty matrix file")
@@ -124,22 +133,10 @@ def _split_matrix(text: str) -> tuple:
     parts = head.split()
     if len(parts) != 2 or not all(_NUM.match(p) for p in parts):
         raise ParseError(ln0, "first line must be 'rows cols'")
-    return ln0, int(parts[0]), int(parts[1]), lines[1:]
-
-
-def matrix_shape(text: str) -> tuple:
-    """The (rows, cols) declared on the first line of a matrix file, read
-    without building the matrix, so that a size bound can be applied before
-    any per-row allocation (an R x 0 file needs no row lines)."""
-    _, rows, cols, _ = _split_matrix(text)
-    return rows, cols
-
-
-def parse_matrix(text: str) -> IntMatrix:
-    """Parse a matrix file: first line "rows cols", then that many rows of
-    space-separated integers. Blank lines are ignored, so a matrix with no
-    columns has no row lines."""
-    ln0, rows, cols, body = _split_matrix(text)
+    rows, cols = int(parts[0]), int(parts[1])
+    if max(rows, cols) > MATRIX_CAP:
+        raise ValueError(f"matrix must be at most {MATRIX_CAP} x {MATRIX_CAP}, got {rows} x {cols}")
+    body = lines[1:]
     if cols == 0 and not body:
         return IntMatrix(rows, 0, ())
     if len(body) != rows:

@@ -39,8 +39,6 @@ class _Infinity:
 
 INF = _Infinity()
 
-Multiplicity = int | _Infinity
-
 
 class Graph:
     """Immutable directed multigraph.

@@ -136,7 +136,9 @@ class IntMatrix:
 
     def __repr__(self):
         if self.rows <= 6 and self.cols <= 6:
-            return f"IntMatrix.from_rows({self.to_rows()!r})"
+            # With no row to read it from, the width must be given.
+            cols = f", cols={self.cols}" if self.cols and not self.rows else ""
+            return f"IntMatrix.from_rows({self.to_rows()!r}{cols})"
         return f"IntMatrix({self.rows}x{self.cols})"
 
 

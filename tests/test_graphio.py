@@ -1,11 +1,13 @@
 """Graph DSL and matrix file parsing, canonical emission, round-trips."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from graphkt.errors import ParseError
-from graphkt.graphio import emit_graph, parse_graph, parse_matrix
+from graphkt.graphio import MATRIX_CAP, emit_graph, parse_graph, parse_matrix
 from graphkt.graphs import Graph, INF
 from graphkt.harness import RandomGraphParams, derive_seed, random_graph
 from graphkt.intlinalg import IntMatrix
@@ -161,3 +163,27 @@ class TestParseMatrix:
     def test_rejects(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):
             parse_matrix(text)
+
+    def test_cap_is_checked_before_any_row_is_built(self):
+        # An R x 0 header needs no row lines, so without the check these
+        # 12 bytes would ask for 10^9 row dicts.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                parse_matrix("1000000000 0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cap = MATRIX_CAP
+        assert str(info.value) == f"matrix must be at most {cap} x {cap}, got 1000000000 x 0"
+        assert peak < 1_000_000
+
+    def test_cap_error_beats_a_malformed_body(self):
+        with pytest.raises(ValueError) as info:
+            parse_matrix(f"{MATRIX_CAP + 1000} 3\n1 x 2\n")
+        assert not isinstance(info.value, ParseError)
+        assert str(info.value).startswith(f"matrix must be at most {MATRIX_CAP} x {MATRIX_CAP}")
+
+    def test_cap_itself_is_accepted(self):
+        m = parse_matrix(f"{MATRIX_CAP} 0\n")
+        assert (m.rows, m.cols) == (MATRIX_CAP, 0)

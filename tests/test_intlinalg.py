@@ -190,6 +190,9 @@ class TestIntMatrix:
         assert IntMatrix(0, 3, []).rows == 0
         assert IntMatrix(3, 0, []).cols == 0
         assert IntMatrix.from_rows([], cols=2).transpose() == IntMatrix(2, 0, [])
+        for m in (IntMatrix(0, 3, []), IntMatrix(3, 0, []), IntMatrix(0, 0, []),
+                  IntMatrix.from_rows([[1, 0], [0, -2]])):
+            assert eval(repr(m)) == m
 
     def test_matmul(self):
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
