@@ -17,6 +17,7 @@ and :func:`cokernel` then read V and the diagonal from it; before
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .sparse import eliminate_units
 
@@ -72,11 +73,16 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        m = cls.zeros(n, n)
+        for i, row in enumerate(m._sparse):
+            row[i] = 1
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
+        if index(rows) < 0 or index(cols) < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        return cls._of_rows(rows, cols, [{} for _ in range(rows)])
 
     def __getitem__(self, key):
         i, j = key
@@ -176,7 +182,10 @@ class AbelianGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        object.__setattr__(self, "torsion", tuple(self.torsion))
+        for d in (self.free_rank, *self.torsion):
+            if not isinstance(d, int):
+                raise TypeError(f"non-integer invariant: {d!r}")
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for d in self.torsion:

@@ -3,8 +3,8 @@
 For a finite graph with regular part of size r and singular part of size s,
 K0 and K1 are the cokernel and kernel of the stacked (r+s) x r map built
 from the transposed blocks, and Ext (under condition (L)) is the cokernel
-of the r x (r+s) row map built from the blocks directly. The two matrices
-are transposes of each other, which forces their torsion to agree.
+of the r x (r+s) row map. The row map is built in one way only, as the
+transpose of the stacked map, which forces their torsion to agree.
 
 A matrix and its transpose have the same invariant factors, so all three
 groups come from one elimination of the stacked map. It runs at most once
@@ -42,32 +42,24 @@ class ExtResult:
     condition_l_holds: bool
 
 
-def _minus_identity(rows: list) -> list:
-    """Subtract 1 from the diagonal of square row dicts, in place."""
-    for r, row in enumerate(rows):
-        e = row.pop(r, 0) - 1
-        if e:
-            row[r] = e
-    return rows
-
-
 def stacked_matrix(dec: BlockDecomposition) -> IntMatrix:
     """The (r+s) x r map: transposed regular block minus identity over
     transposed regular-to-singular block. Rows are ordered regular then
     singular, matching the graph's vertex order within each class."""
     ni, nj = len(dec.regular), len(dec.singular)
     b, c = dec.b_block.transpose(), dec.c_block.transpose()
-    return IntMatrix._of_rows(ni + nj, ni, _minus_identity(b._sparse) + c._sparse)
+    for r, row in enumerate(b._sparse):
+        e = row.pop(r, 0) - 1
+        if e:
+            row[r] = e
+    return IntMatrix._of_rows(ni + nj, ni, b._sparse + c._sparse)
 
 
 def row_matrix(dec: BlockDecomposition) -> IntMatrix:
-    """The r x (r+s) map: (regular block minus identity | regular-to-singular
-    block), columns ordered regular then singular."""
-    ni, nj = len(dec.regular), len(dec.singular)
-    rows = _minus_identity([dict(r) for r in dec.b_block._sparse])
-    for row, c in zip(rows, dec.c_block._sparse):
-        row.update((ni + k, e) for k, e in c.items())
-    return IntMatrix._of_rows(ni, ni + nj, rows)
+    """The r x (r+s) map (regular block minus identity | regular-to-singular
+    block), columns ordered regular then singular: the transpose of
+    :func:`stacked_matrix`, which :func:`ext_group` reads Ext off."""
+    return stacked_matrix(dec).transpose()
 
 
 def _stacked_factors(g: Graph) -> tuple:

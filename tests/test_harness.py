@@ -16,7 +16,7 @@ from graphkt.harness import (
     run_properties,
 )
 from graphkt.intlinalg import AbelianGroup, IntMatrix
-from graphkt.ktheory import k_groups
+from graphkt.ktheory import corollary_applies, k_groups
 
 
 class TestEaFamily:
@@ -142,6 +142,24 @@ class TestRunProperties:
         assert report.properties["P6"].passed == 1
         # P1 builds and eliminates the graph's stacked map; the P5 and P6
         # scans read the graph's K-groups from the same instance
+        assert sum(h == g for h in built) == 1
+
+    def test_p3_reads_the_row_map_off_the_stacked_map(self, monkeypatch):
+        params = RandomGraphParams(seed=3, density=0.0)
+        g = random_graph(replace(params, seed=derive_seed(params.seed, 0)))
+        assert corollary_applies(g) and len(g.vertices) == 7
+        built = []
+
+        def counting(h):
+            built.append(h)
+            return block_decomposition(h)
+
+        monkeypatch.setattr(ktheory, "block_decomposition", counting)
+        monkeypatch.setattr(harness, "block_decomposition", counting, raising=False)
+        report = run_properties(params, 1)
+        assert report.properties["P3"].passed == 1
+        # k_groups builds the one decomposition of g; P5's tailed graphs
+        # build their own
         assert sum(h == g for h in built) == 1
 
     def test_p5_and_p6_run_the_public_scan(self, monkeypatch):

@@ -242,6 +242,26 @@ class TestIntMatrix:
         assert m.rows == m.cols == 60
         assert peak - held < 100_000
 
+    def test_identity_and_zeros_store_only_their_nonzeros(self):
+        assert IntMatrix.identity(3) == IntMatrix(3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1])
+        assert IntMatrix.zeros(2, 3) == IntMatrix(2, 3, [0] * 6)
+        assert IntMatrix.zeros(0, 3) == IntMatrix(0, 3, [])
+        assert IntMatrix.identity(0) == IntMatrix(0, 0, [])
+        for build in (lambda: IntMatrix.zeros(-1, 2), lambda: IntMatrix.zeros(2, -1),
+                      lambda: IntMatrix.identity(-1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                build()
+        # a flat list of 4 million entries would peak above 30 MB
+        for build in (lambda: IntMatrix.zeros(2000, 2000), lambda: IntMatrix.identity(2000)):
+            tracemalloc.start()
+            try:
+                m = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert m.rows == m.cols == 2000 and stores_no_zero(m)
+            assert peak < 1_000_000
+
 
 def stores_no_zero(m):
     """The storage invariant: one dict per row, nonzero ints in range only."""
@@ -601,6 +621,12 @@ class TestAbelianGroup:
             AbelianGroup(0, (1,))
         with pytest.raises(ValueError):
             AbelianGroup(0, (4, 2))  # not a divisibility chain
+
+    def test_invariants_must_be_ints(self):
+        # int() would turn these into Z/2, Z/4 and a free rank of 1.5
+        for args in ((0, (2.5,)), (0, ("4",)), (1.5,)):
+            with pytest.raises(TypeError, match="non-integer invariant"):
+                AbelianGroup(*args)
 
     def test_equality_is_componentwise(self):
         assert AbelianGroup(1, (2, 4)) == AbelianGroup(1, [2, 4])
