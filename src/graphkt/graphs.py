@@ -3,6 +3,10 @@
 A vertex is *singular* when it emits no edges (a sink) or infinitely many;
 everything downstream (block decomposition, K-groups, tails) is organized
 around the split of the vertex set into regular and singular vertices.
+A graph sums each vertex's out-multiplicity while it is built, so that
+split, row-finiteness and condition (L) read one number per vertex, and
+:func:`block_decomposition` builds the stacked map (Bᵗ − I over Cᵗ) from
+the edges in one pass.
 """
 
 from __future__ import annotations
@@ -49,38 +53,45 @@ class Graph:
     are a finite stand-in for infinitely many edges (truncations of
     infinite graphs); their rows are never read by the invariant formulas.
 
+    ``_emits`` holds each vertex's out-multiplicity, by vertex index.
     ``_stacked`` is None until :mod:`graphkt.ktheory` first needs the
     stacked map; it then holds that map and its invariant factors, so
     K0, K1 and Ext of one instance share one elimination.
     """
 
-    __slots__ = ("vertices", "declared_singular", "_edges", "_index", "_out", "_stacked")
+    __slots__ = ("vertices", "declared_singular", "_edges", "_index", "_out", "_emits", "_stacked")
 
-    def __init__(self, vertices=(), edges=None, declared_singular=()):
+    def __init__(self, vertices=(), edges=None, declared_singular=(), _check=True):
+        # _check=False skips the id and edge checks, for parts known valid
+        # (a checked graph's, grown by unused valid ids); ``edges`` is owned.
         vlist: list[str] = []
         index: dict[str, int] = {}
         for v in vertices:
-            if not isinstance(v, str) or not VERTEX_ID.match(v):
+            if _check and (not isinstance(v, str) or not VERTEX_ID.match(v)):
                 raise ValueError(f"invalid vertex id: {v!r}")
             if v in index:
                 raise ValueError(f"duplicate vertex: {v!r}")
             index[v] = len(vlist)
             vlist.append(v)
-        emap = dict(edges or {})
+        emap = dict(edges or {}) if _check else edges
         # Targets of each vertex's out-edges, by source index, in edge
-        # order; out_edges sorts one list into vertex order when asked.
+        # order (out_edges sorts one list into vertex order when asked),
+        # and each vertex's out-multiplicity, absorbing to INF.
         out: list[list[str]] = [[] for _ in vlist]
+        emits: list = [0] * len(vlist)
         for (src, dst), mult in emap.items():
             s = index.get(src)
-            if s is None:
-                raise ValueError(f"edge source not declared: {src!r}")
-            if dst not in index:
-                raise ValueError(f"edge target not declared: {dst!r}")
-            if mult is not INF and not (isinstance(mult, int) and mult >= 1):
-                raise ValueError(
-                    f"invalid multiplicity for edge {src}->{dst}: {mult!r}"
-                )
+            if _check:
+                if s is None:
+                    raise ValueError(f"edge source not declared: {src!r}")
+                if dst not in index:
+                    raise ValueError(f"edge target not declared: {dst!r}")
+                if mult is not INF and not (isinstance(mult, int) and mult >= 1):
+                    raise ValueError(
+                        f"invalid multiplicity for edge {src}->{dst}: {mult!r}"
+                    )
             out[s].append(dst)
+            emits[s] += mult
         declared = frozenset(declared_singular)
         for v in declared:
             if v not in index:
@@ -90,6 +101,7 @@ class Graph:
         self._edges = emap
         self._index = index
         self._out = out
+        self._emits = emits
         self._stacked = None
 
     @property
@@ -135,64 +147,72 @@ class Graph:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Regular/singular vertex split with the finite blocks of the vertex matrix.
+    """Regular/singular vertex split and the stacked map it gives.
 
-    ``b_block`` holds edge counts regular -> regular, ``c_block`` regular ->
-    singular. Rows indexed by singular vertices are never materialized, and
-    both blocks store only their nonzero entries, one per edge, so building
-    them costs O(V + E).
+    ``stacked`` is the (r+s) x r map (Bᵗ − I over Cᵗ): its column k is the
+    k-th regular vertex, rows are the regular then the singular vertices,
+    and each entry counts the edges from the column's vertex to the row's,
+    less one on the diagonal. It stores only its nonzero entries, one per
+    edge from a regular vertex, so building it costs O(V + E). The blocks
+    B (edge counts regular -> regular) and C (regular -> singular) are read
+    back from it on request.
     """
 
     regular: tuple
     singular: tuple
-    b_block: IntMatrix
-    c_block: IntMatrix
+    stacked: IntMatrix
+
+    def _block(self, lo: int, hi: int) -> IntMatrix:
+        """Rows lo..hi-1 of ``stacked``, transposed."""
+        rows = self.stacked._sparse[lo:hi]
+        return IntMatrix._of_rows(hi - lo, len(self.regular), rows).transpose()
+
+    @property
+    def b_block(self) -> IntMatrix:
+        return _shift_diagonal(self._block(0, len(self.regular)), 1)
+
+    @property
+    def c_block(self) -> IntMatrix:
+        return self._block(len(self.regular), self.stacked.rows)
+
+
+def _shift_diagonal(m: IntMatrix, by: int) -> IntMatrix:
+    """Add ``by`` to each diagonal entry of m, in place; returns m."""
+    for k, row in enumerate(m._sparse[: m.cols]):
+        e = row.pop(k, 0) + by
+        if e:
+            row[k] = e
+    return m
 
 
 def out_multiplicity(g: Graph, v: str):
     """Total number of edges leaving v, absorbing to INF."""
-    total = 0
-    for w in g._out[g.index(v)]:
-        total = total + g._edges[(v, w)]
-    return total
+    return g._emits[g.index(v)]
 
 
 def singular_vertices(g: Graph) -> list:
     """Sinks, infinite emitters and declared-singular vertices, in vertex order."""
-    out = []
-    for v in g.vertices:
-        m = out_multiplicity(g, v)
-        if m == 0 or m is INF or v in g.declared_singular:
-            out.append(v)
-    return out
+    declared = g.declared_singular
+    return [v for v, m in zip(g.vertices, g._emits) if m == 0 or m is INF or v in declared]
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Split vertices into regular/singular and extract the finite blocks."""
+    """Split vertices into regular/singular and build the stacked map."""
     singular = singular_vertices(g)
     sset = set(singular)
     regular = [v for v in g.vertices if v not in sset]
-    # Block (0 for B, 1 for C) and column of each target vertex; each
-    # regular vertex gets one row dict per block, filled from its out-edges.
-    col = {v: (0, k) for k, v in enumerate(regular)}
-    col.update((v, (1, k)) for k, v in enumerate(singular))
-    b_rows, c_rows = [], []
-    for v in regular:
-        row = {}, {}
-        for w in g._out[g._index[v]]:
-            m = g._edges[(v, w)]
-            assert m is not INF, "regular vertex with an infinite edge"
-            block, k = col[w]
-            row[block][k] = m
-        b_rows.append(row[0])
-        c_rows.append(row[1])
     nr = len(regular)
-    return BlockDecomposition(
-        tuple(regular),
-        tuple(singular),
-        IntMatrix._of_rows(nr, nr, b_rows),
-        IntMatrix._of_rows(nr, len(singular), c_rows),
-    )
+    # Row of each vertex; column s of the map is filled from the s-th
+    # regular vertex's out-edges, so each row's keys come in column order.
+    row = dict(zip(regular, range(nr)))
+    row.update(zip(singular, range(nr, len(g.vertices))))
+    rows = [{} for _ in g.vertices]
+    edges, out, index = g._edges, g._out, g._index
+    for s, v in enumerate(regular):
+        for w in out[index[v]]:
+            rows[row[w]][s] = edges[v, w]
+    stacked = _shift_diagonal(IntMatrix._of_rows(len(rows), nr, rows), -1)
+    return BlockDecomposition(tuple(regular), tuple(singular), stacked)
 
 
 def condition_l(g: Graph):
@@ -207,12 +227,9 @@ def condition_l(g: Graph):
     Returns (True, None) or (False, witness) with a vertex-simple cycle.
     """
     nxt = {}
-    for v in g.vertices:
-        if v in g.declared_singular:
-            continue
-        out = g.out_edges(v)
-        if len(out) == 1 and out[0][1] == 1:
-            nxt[v] = out[0][0]
+    for v, m, targets in zip(g.vertices, g._emits, g._out):
+        if m == 1 and v not in g.declared_singular:
+            nxt[v] = targets[0]
     done = set()
     for start in g.vertices:
         if start not in nxt or start in done:
@@ -238,10 +255,5 @@ def is_row_finite(g: Graph) -> bool:
     A declared-singular vertex that is not a sink hides infinitely many
     edges, so it breaks row-finiteness; declared sinks do not.
     """
-    for v in g.vertices:
-        m = out_multiplicity(g, v)
-        if m is INF:
-            return False
-        if v in g.declared_singular and m != 0:
-            return False
-    return True
+    declared = g.declared_singular
+    return not any(m is INF or (m and v in declared) for v, m in zip(g.vertices, g._emits))

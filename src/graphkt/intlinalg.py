@@ -38,7 +38,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_sparse", "_snf")
 
     def __init__(self, rows: int, cols: int, entries):
-        if rows < 0 or cols < 0:
+        if index(rows) < 0 or index(cols) < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         data = tuple(entries)
         if len(data) != rows * cols:
@@ -67,7 +67,7 @@ class IntMatrix:
         for r in rows:
             if len(r) != cols:
                 raise ValueError("ragged rows")
-        if cols < 0:
+        if index(cols) < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         return cls._of_rows(len(rows), cols, [_row_dict(r) for r in rows])
 

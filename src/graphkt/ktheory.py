@@ -45,14 +45,9 @@ class ExtResult:
 def stacked_matrix(dec: BlockDecomposition) -> IntMatrix:
     """The (r+s) x r map: transposed regular block minus identity over
     transposed regular-to-singular block. Rows are ordered regular then
-    singular, matching the graph's vertex order within each class."""
-    ni, nj = len(dec.regular), len(dec.singular)
-    b, c = dec.b_block.transpose(), dec.c_block.transpose()
-    for r, row in enumerate(b._sparse):
-        e = row.pop(r, 0) - 1
-        if e:
-            row[r] = e
-    return IntMatrix._of_rows(ni + nj, ni, b._sparse + c._sparse)
+    singular, matching the graph's vertex order within each class.
+    :func:`~graphkt.graphs.block_decomposition` builds it."""
+    return dec.stacked
 
 
 def row_matrix(dec: BlockDecomposition) -> IntMatrix:

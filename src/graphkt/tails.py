@@ -6,7 +6,8 @@ removed edges along the chain: the j-th target (0-indexed, multiplicity C)
 receives one edge from each of v_j, v_{j+1}, ..., v_{j+C-1}. Tails here
 are truncated at a finite length n, so edges whose source index would be
 n or larger are dropped and vn stays a sink. Every tail of one call is
-written into a single copy of the edge map, and one graph is built.
+written into a single copy of the edge map, and one graph is built from
+it without checking again what the input graph already passed.
 :func:`add_tail` checks a caller's plan against the graph; the plans of
 :func:`desingularize` come from the graph, so only fresh names are checked.
 """
@@ -57,7 +58,8 @@ def _write_tails(g: Graph, plans) -> Graph:
     """Write each plan's tail into one copy of ``g``'s vertices and edges and
     build one graph. Each plan must fit ``g`` as :func:`add_tail` checks,
     with distinct bases; only fresh-name clashes, which depend on the
-    length, are checked here."""
+    length, are checked here. Fresh names are valid ids, so the graph is
+    built unchecked."""
     vertices = list(g.vertices)
     edges = g.edges
     for plan in plans:
@@ -75,7 +77,7 @@ def _write_tails(g: Graph, plans) -> Graph:
             for src in chain[j:hi]:
                 edges[(src, w)] = edges.get((src, w), 0) + 1
         vertices += fresh
-    return Graph(vertices, edges, g.declared_singular)
+    return Graph(vertices, edges, g.declared_singular, _check=False)
 
 
 def add_tail(g: Graph, plan: TailPlan) -> Graph:

@@ -227,6 +227,15 @@ class TestIntMatrix:
         rows = iter([(1, 0), iter([0, 2]), [3, 0]])
         assert IntMatrix.from_rows(rows) == IntMatrix(3, 2, [1, 0, 0, 2, 3, 0])
 
+    def test_dimensions_must_be_ints(self):
+        # checked at construction, as zeros checks them, not later in transpose
+        for build in (lambda: IntMatrix.from_rows([], cols=2.5), lambda: IntMatrix(0, 2.5, []),
+                      lambda: IntMatrix(2.0, 0, []), lambda: IntMatrix("1", 1, [1])):
+            with pytest.raises(TypeError):
+                build()
+        m = IntMatrix.from_rows([], cols=3)
+        assert (m.rows, m.cols, m.transpose()) == (0, 3, IntMatrix(3, 0, []))
+
     def test_parsing_holds_no_flat_copy(self):
         # 3600 entries: one flat list of them and its tuple copy would add
         # 58 KB to the peak; the row dicts themselves hold about 133 KB

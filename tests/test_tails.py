@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from graphkt import tails
 from graphkt.errors import TailError
 from graphkt.graphio import emit_graph
-from graphkt.graphs import Graph, INF, out_multiplicity, singular_vertices
+from graphkt.graphs import (
+    Graph,
+    INF,
+    condition_l,
+    is_row_finite,
+    out_multiplicity,
+    singular_vertices,
+)
 from graphkt.harness import (
     RandomGraphParams,
     derive_seed,
@@ -171,6 +178,54 @@ class TestDesingularize:
         assert out.vertices == ref.vertices
         assert list(out.edges.items()) == list(ref.edges.items())
         assert emit_graph(out) == emit_graph(ref)
+
+    @given(
+        seed=st.integers(0, 2**32),
+        infinite=st.sampled_from([0.0, 0.12, 0.4]),
+        sinks=st.sampled_from([0.0, 0.2, 0.5]),
+        n=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_unchecked_graph_equals_a_checked_rebuild(self, seed, infinite, sinks, n, data):
+        # desingularize builds its graph without the constructor's checks;
+        # a checked rebuild from the public fields must agree with it, and
+        # its graph-side answers must match a reference from the edges alone
+        g = random_graph(RandomGraphParams(
+            seed=seed, max_vertices=10, infinite_probability=infinite,
+            sink_probability=sinks,
+        ))
+        orderings = {}
+        for v in singular_vertices(g):
+            targets = [w for w, _m in g.out_edges(v)]
+            if len(targets) >= 2 and data.draw(st.booleans()):
+                orderings[v] = data.draw(st.permutations(targets))
+        out = desingularize(g, n, orderings)
+        ref = Graph(out.vertices, out.edges, out.declared_singular)
+        assert out.vertices == ref.vertices
+        assert list(out.edges.items()) == list(ref.edges.items())
+        assert emit_graph(out) == emit_graph(ref)
+        assert [out.out_edges(v) for v in out.vertices] == [ref.out_edges(v) for v in ref.vertices]
+
+        emits = dict.fromkeys(out.vertices, 0)
+        for (src, _dst), m in out.edges.items():
+            emits[src] = INF if m is INF or emits[src] is INF else emits[src] + m
+        assert [out_multiplicity(out, v) for v in out.vertices] == list(emits.values())
+        assert singular_vertices(out) == [v for v, m in emits.items() if m == 0 or m is INF]
+        assert is_row_finite(out) == all(m is not INF for m in emits.values())
+        # condition (L) fails exactly when the vertices with one edge of
+        # multiplicity 1 carry a cycle: a walk of len(nxt) steps inside them
+        nxt = {src: dst for (src, dst) in out.edges if emits[src] == 1}
+        cyclic = False
+        for start in nxt:
+            cur = start
+            for _ in range(len(nxt)):
+                cur = nxt.get(cur)
+            cyclic = cyclic or cur in nxt
+        holds, witness = condition_l(out)
+        assert (holds, witness) == condition_l(ref)
+        assert holds == (not cyclic)
+        if witness:
+            assert all(nxt[x] == y for x, y in zip(witness, witness[1:] + witness[:1]))
 
     def test_builds_one_graph(self, monkeypatch):
         built = []
