@@ -1,4 +1,4 @@
-"""Tour of the graph model: multiplicities, singular vertices, blocks.
+"""Tour of the graph model: multiplicities, singular vertices, the stacked map.
 
 Run:  python3 demos/01_graphs_and_blocks.py
 """
@@ -31,8 +31,9 @@ print("row-finite:", is_row_finite(g))
 dec = block_decomposition(g)
 print("\nregular part:", dec.regular)
 print("singular part:", dec.singular)
-print("regular->regular block:", dec.b_block.to_rows())
-print("regular->singular block:", dec.c_block.to_rows())
+# one column per regular vertex; rows are the regular then the singular
+# vertices, each entry the edge count from column to row, less 1 on the diagonal
+print("stacked map (B^t - I over C^t):", dec.stacked.to_rows())
 
 holds, witness = condition_l(g)
 print("\nevery cycle has an exit:", holds)

@@ -40,7 +40,7 @@ from .ktheory import (
     row_matrix,
     stacked_matrix,
 )
-from .tails import TailPlan, add_tail, desingularize, tail_plan
+from .tails import desingularize
 from .graphio import emit_graph, parse_graph, parse_matrix
 from .harness import (
     RandomGraphParams,
@@ -68,8 +68,6 @@ __all__ = [
     "RandomGraphParams",
     "SnfResult",
     "TailError",
-    "TailPlan",
-    "add_tail",
     "block_decomposition",
     "cokernel",
     "condition_l",
@@ -93,7 +91,6 @@ __all__ = [
     "singular_vertices",
     "snf",
     "stacked_matrix",
-    "tail_plan",
     "truncation_scan",
     "verify_catalog",
 ]

@@ -153,36 +153,14 @@ class BlockDecomposition:
     k-th regular vertex, rows are the regular then the singular vertices,
     and each entry counts the edges from the column's vertex to the row's,
     less one on the diagonal. It stores only its nonzero entries, one per
-    edge from a regular vertex, so building it costs O(V + E). The blocks
-    B (edge counts regular -> regular) and C (regular -> singular) are read
-    back from it on request.
+    edge from a regular vertex, so building it costs O(V + E). Its top r
+    rows are Bᵗ − I and its bottom s rows Cᵗ, where B counts the edges
+    regular -> regular and C the edges regular -> singular.
     """
 
     regular: tuple
     singular: tuple
     stacked: IntMatrix
-
-    def _block(self, lo: int, hi: int) -> IntMatrix:
-        """Rows lo..hi-1 of ``stacked``, transposed."""
-        rows = self.stacked._sparse[lo:hi]
-        return IntMatrix._of_rows(hi - lo, len(self.regular), rows).transpose()
-
-    @property
-    def b_block(self) -> IntMatrix:
-        return _shift_diagonal(self._block(0, len(self.regular)), 1)
-
-    @property
-    def c_block(self) -> IntMatrix:
-        return self._block(len(self.regular), self.stacked.rows)
-
-
-def _shift_diagonal(m: IntMatrix, by: int) -> IntMatrix:
-    """Add ``by`` to each diagonal entry of m, in place; returns m."""
-    for k, row in enumerate(m._sparse[: m.cols]):
-        e = row.pop(k, 0) + by
-        if e:
-            row[k] = e
-    return m
 
 
 def out_multiplicity(g: Graph, v: str):
@@ -211,7 +189,13 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     for s, v in enumerate(regular):
         for w in out[index[v]]:
             rows[row[w]][s] = edges[v, w]
-    stacked = _shift_diagonal(IntMatrix._of_rows(len(rows), nr, rows), -1)
+    # The -1 diagonal goes in last, so each row keeps its keys in column
+    # order apart from the diagonal.
+    for k, r in enumerate(rows[:nr]):
+        e = r.pop(k, 0) - 1
+        if e:
+            r[k] = e
+    stacked = IntMatrix._of_rows(len(rows), nr, rows)
     return BlockDecomposition(tuple(regular), tuple(singular), stacked)
 
 

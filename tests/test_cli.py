@@ -131,6 +131,15 @@ def test_desingularize_domain_error(capsys, tmp_path):
     assert "declared-singular" in out
 
 
+def test_desingularize_rejects_length_below_one(capsys, tmp_path):
+    src = tmp_path / "s.graph"
+    src.write_text("vertex a\n")
+    for n in ("0", "-1"):
+        code, out, err = run(capsys, "desingularize", str(src), "--truncate", n)
+        assert code == 1 and out == ""
+        assert "tail_length must be >= 1" in err
+
+
 def test_size_flags_are_capped(capsys, tmp_path):
     cap = cli._SIZE_CAP
     out = tmp_path / "tail.graph"

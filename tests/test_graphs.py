@@ -86,8 +86,8 @@ class TestBlockDecomposition:
         dec = block_decomposition(Graph(["v"], {("v", "v"): 2}))
         assert dec.regular == ("v",)
         assert dec.singular == ()
-        assert dec.b_block == IntMatrix.from_rows([[2]])
-        assert dec.c_block == IntMatrix(1, 0, [])
+        # Bᵗ − I with B = [[2]], over an empty Cᵗ
+        assert dec.stacked == IntMatrix.from_rows([[1]])
 
     def test_infinite_emitter_to_loop(self):
         # oracle: enumerate edges from the regular side by hand
@@ -95,15 +95,14 @@ class TestBlockDecomposition:
         dec = block_decomposition(g)
         assert dec.regular == ("w",)
         assert dec.singular == ("v",)
-        assert dec.b_block == IntMatrix.from_rows([[1]])
-        assert dec.c_block == IntMatrix.from_rows([[0]])
+        # B = [[1]] (w -> w) and C = [[0]] (no edge w -> v)
+        assert dec.stacked == IntMatrix.from_rows([[0], [0]])
 
     def test_two_sinks(self):
         dec = block_decomposition(Graph(["s1", "s2"]))
         assert dec.regular == ()
         assert dec.singular == ("s1", "s2")
-        assert dec.b_block == IntMatrix(0, 0, [])
-        assert dec.c_block == IntMatrix(0, 2, [])
+        assert dec.stacked == IntMatrix(2, 0, [])
 
     def test_partition_and_row_sums_randomized(self):
         for i in range(60):
@@ -113,10 +112,11 @@ class TestBlockDecomposition:
             assert not set(dec.regular) & set(dec.singular)
             merged = [v for v in g.vertices if v in set(dec.regular) | set(dec.singular)]
             assert merged == list(g.vertices)
-            for r, v in enumerate(dec.regular):
-                total = sum(dec.b_block[r, j] for j in range(len(dec.regular)))
-                total += sum(dec.c_block[r, j] for j in range(len(dec.singular)))
-                assert total == out_multiplicity(g, v)
+            # column k of the stacked map holds the k-th regular vertex's
+            # out-edges, less the diagonal 1
+            rows = dec.stacked.to_rows()
+            for k, v in enumerate(dec.regular):
+                assert sum(row[k] for row in rows) + 1 == out_multiplicity(g, v)
 
 
 def simple_cycles(g):

@@ -320,7 +320,7 @@ class TestSparseStorage:
         g = Graph(g.vertices, g.edges, g.vertices[:declare])
         dec = block_decomposition(g)
         stacked, row = stacked_matrix(dec), row_matrix(dec)
-        for m in (dec.b_block, dec.c_block, stacked, row):
+        for m in (stacked, row):
             assert stores_no_zero(m)
         dense = dense_stacked(g)
         assert stacked == dense
@@ -584,22 +584,20 @@ class TestSnfMemo:
 
     @given(st.integers(0, 2**32), st.integers(0, 2))
     def test_builders_leave_their_input_matrices_unchanged(self, seed, declare):
-        # the blocks and the stacked map carry memos here; no builder may
-        # change the rows of a matrix it reads
+        # the stacked map carries a memo here; no builder may change the
+        # rows of a matrix it reads
         g = random_graph(RandomGraphParams(seed=seed, max_vertices=10, max_multiplicity=3))
         g = Graph(g.vertices, g.edges, g.vertices[:declare])
         dec = block_decomposition(g)
         stacked = stacked_matrix(dec)
-        inputs = (dec.b_block, dec.c_block, stacked)
-        memos = [snf(m) for m in inputs]
-        before = [[dict(r) for r in m._sparse] for m in inputs]
+        memo = snf(stacked)
+        before = [dict(r) for r in stacked._sparse]
         block_decomposition(g)
         stacked_matrix(dec)
         row_matrix(dec)
-        for m, rows, memo in zip(inputs, before, memos):
-            assert m._sparse == rows
-            assert m._snf is memo
-            assert snf(IntMatrix.from_rows(m.to_rows(), cols=m.cols)) == memo
+        assert stacked._sparse == before
+        assert stacked._snf is memo
+        assert snf(IntMatrix.from_rows(stacked.to_rows(), cols=stacked.cols)) == memo
 
 
 class TestCokernel:

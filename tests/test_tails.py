@@ -23,7 +23,7 @@ from graphkt.harness import (
 )
 from graphkt.intlinalg import AbelianGroup, IntMatrix, kernel_basis
 from graphkt.ktheory import k_groups
-from graphkt.tails import TailPlan, add_tail, desingularize, tail_plan
+from graphkt.tails import desingularize
 
 
 def infinite_loop():
@@ -31,24 +31,25 @@ def infinite_loop():
 
 
 class TestAddTail:
+    """The tail that desingularize adds at one singular vertex."""
+
     def test_sink_pure_tail(self):
-        g = Graph(["v0"])
-        out = add_tail(g, tail_plan(g, "v0", 1))
+        out = desingularize(Graph(["v0"]), 1)
         assert out.vertices == ("v0", "v0$1")
         assert out.edges == {("v0", "v0$1"): 1}
         assert out_multiplicity(out, "v0$1") == 0
 
     def test_infinite_loop_length_one(self):
         # the single in-range re-emission lands back on the base vertex
-        g = infinite_loop()
-        out = add_tail(g, tail_plan(g, "v0", 1))
+        out = desingularize(infinite_loop(), 1)
         assert out.edges == {("v0", "v0"): 1, ("v0", "v0$1"): 1}
         assert singular_vertices(out) == ["v0$1"]
 
     def test_infinite_emitter_length_three(self):
-        g = Graph(["v0", "w"], {("v0", "w"): INF})
-        out = add_tail(g, tail_plan(g, "v0", 3))
+        g = Graph(["v0", "w"], {("v0", "w"): INF, ("w", "w"): 1})
+        out = desingularize(g, 3)
         assert out.edges == {
+            ("w", "w"): 1,
             ("v0", "v0$1"): 1,
             ("v0$1", "v0$2"): 1,
             ("v0$2", "v0$3"): 1,
@@ -61,47 +62,60 @@ class TestAddTail:
         # v0 emits infinitely to a and twice to b: b (position 1, count 2)
         # receives edges from tail positions 1 and 2 only
         g = Graph(["v0", "a", "b"], {("v0", "a"): INF, ("v0", "b"): 2})
-        out = add_tail(g, tail_plan(g, "v0", 4))
+        out = desingularize(g, 4)
         b_edges = {(s, t) for (s, t) in out.edges if t == "b"}
         assert b_edges == {("v0$1", "b"), ("v0$2", "b")}
         a_edges = {(s, t) for (s, t) in out.edges if t == "a"}
         assert a_edges == {("v0", "a"), ("v0$1", "a"), ("v0$2", "a"), ("v0$3", "a")}
 
-    def test_rejects_regular_base(self):
-        g = Graph(["v0"], {("v0", "v0"): 2})
-        with pytest.raises(TailError, match="not singular"):
-            add_tail(g, TailPlan("v0", (("v0", 2),), 1))
-        # an unknown base is reported before anything else about the plan
-        with pytest.raises(ValueError, match="unknown vertex: 'u'"):
-            add_tail(g, TailPlan("u", (), 0))
-
     def test_rejects_declared_singular_base(self):
         g = Graph(["v0", "w"], {("v0", "w"): 1}, {"v0"})
         with pytest.raises(TailError, match="hidden edges"):
-            add_tail(g, TailPlan("v0", (("w", 1),), 1))
+            desingularize(g, 1)
 
     def test_rejects_name_collision(self):
         g = Graph(["v0", "v0$1"])
-        with pytest.raises(TailError, match="already in use"):
-            add_tail(g, tail_plan(g, "v0", 1))
-
-    def test_rejects_mismatched_plan(self):
-        g = Graph(["v0", "w"], {("v0", "w"): INF})
-        with pytest.raises(ValueError, match="does not match"):
-            add_tail(g, TailPlan("v0", (("w", 3),), 2))
-        # a length below 1 is reported before the ordering
-        for n in (0, -1):
-            with pytest.raises(ValueError, match="tail_length must be >= 1"):
-                add_tail(g, TailPlan("v0", (("w", INF),), n))
-            with pytest.raises(ValueError, match="tail_length must be >= 1"):
-                add_tail(g, TailPlan("v0", (("w", 3),), n))
+        with pytest.raises(TailError, match=r"already in use: 'v0\$1'"):
+            desingularize(g, 1)
 
     def test_ordering_must_cover_targets(self):
-        g = Graph(["v0", "a", "b"], {("v0", "a"): INF, ("v0", "b"): INF})
-        with pytest.raises(ValueError, match="exactly once"):
-            tail_plan(g, "v0", 2, order=["a"])
-        with pytest.raises(ValueError, match="exactly once"):
-            tail_plan(g, "v0", 2, order=["a", "a"])
+        g = Graph(["v0", "a", "b"], {("v0", "a"): INF, ("v0", "b"): INF,
+                                     ("a", "a"): 1, ("b", "b"): 1})
+        for order in (["a"], ["a", "a"], ["a", "b", "b"], ["a", "b", "v0"]):
+            with pytest.raises(ValueError, match="'v0' must list each of its targets exactly once"):
+                desingularize(g, 2, {"v0": order})
+        out = desingularize(g, 2, {"v0": ["b", "a"]})
+        assert {(s, t) for (s, t) in out.edges if s == "v0"} == {("v0", "b"), ("v0", "v0$1")}
+
+
+def reference_tails(g, n, orderings):
+    """The truncated tail graph, built from the rule in the tails module
+    docstring and nothing else: each singular vertex v_0 of g loses its
+    out-edges and gains a chain v_0 -> v_1 -> ... -> v_n, and tail vertex
+    v_i emits one edge to the j-th target (multiplicity c) when
+    j <= i < j + c."""
+    index = {v: k for k, v in enumerate(g.vertices)}
+    out = {v: [] for v in g.vertices}
+    for (src, dst), m in g.edges.items():
+        out[src].append((dst, m))
+    vertices = list(g.vertices)
+    edges = {}
+    for v in g.vertices:
+        targets = sorted(out[v], key=lambda t: index[t[0]])
+        if targets and all(m is not INF for _w, m in targets):
+            edges.update(((v, w), m) for w, m in targets)
+            continue
+        if v in orderings:
+            mult = dict(targets)
+            targets = [(w, mult[w]) for w in orderings[v]]
+        chain = [v] + [f"{v}${k}" for k in range(1, n + 1)]
+        vertices += chain[1:]
+        for i in range(n):
+            edges[chain[i], chain[i + 1]] = 1
+            for j, (w, c) in enumerate(targets):
+                if j <= i and (c is INF or i < j + c):
+                    edges[chain[i], w] = 1
+    return Graph(vertices, edges)
 
 
 class TestDesingularize:
@@ -136,6 +150,15 @@ class TestDesingularize:
         with pytest.raises(TailError, match="declared-singular"):
             desingularize(g, 2)
 
+    def test_rejects_length_below_one(self):
+        g = Graph(["v0", "w"], {("v0", "w"): INF, ("w", "w"): 1})
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="tail_length must be >= 1"):
+                desingularize(g, n)
+            # a length below 1 is reported before a bad ordering
+            with pytest.raises(ValueError, match="tail_length must be >= 1"):
+                desingularize(g, n, {"v0": []})
+
     def test_rejects_ordering_for_regular_vertex(self):
         g = Graph(["v", "s"], {("v", "v"): 2})
         with pytest.raises(ValueError, match="non-singular"):
@@ -158,10 +181,10 @@ class TestDesingularize:
         seed=st.integers(0, 2**32),
         infinite=st.sampled_from([0.0, 0.12, 0.4]),
         sinks=st.sampled_from([0.0, 0.2, 0.5]),
-        n=st.integers(1, 5),
+        n=st.integers(1, 6),
         data=st.data(),
     )
-    def test_equals_one_tail_at_a_time(self, seed, infinite, sinks, n, data):
+    def test_equals_the_reference_tail_graph(self, seed, infinite, sinks, n, data):
         g = random_graph(RandomGraphParams(
             seed=seed, max_vertices=10, infinite_probability=infinite,
             sink_probability=sinks,
@@ -171,12 +194,9 @@ class TestDesingularize:
             targets = [w for w, _m in g.out_edges(v)]
             if len(targets) >= 2 and data.draw(st.booleans()):
                 orderings[v] = data.draw(st.permutations(targets))
-        ref = g
-        for v in singular_vertices(g):
-            ref = add_tail(ref, tail_plan(ref, v, n, orderings.get(v)))
         out = desingularize(g, n, orderings)
-        assert out.vertices == ref.vertices
-        assert list(out.edges.items()) == list(ref.edges.items())
+        ref = reference_tails(g, n, orderings)
+        assert out == ref
         assert emit_graph(out) == emit_graph(ref)
 
     @given(
@@ -240,8 +260,6 @@ class TestDesingularize:
         out = desingularize(g, 2)
         assert len(built) == 1
         assert len(out.vertices) == 4 + 3 * 2
-        add_tail(g, tail_plan(g, "a", 2))
-        assert len(built) == 2
 
     def test_first_failing_vertex_raises(self):
         # a's fresh name a$1 is taken; v, later in vertex order, has a bad
