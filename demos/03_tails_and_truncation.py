@@ -2,9 +2,11 @@
 
 A tail replaces a singular vertex's out-edges by a chain of fresh
 vertices that re-emit those edges one step at a time. With a finite
-truncation the result is again a finite graph, and the K-groups stay put
-once the tail is long enough. This demo scans tail lengths and shows the
-stabilization explicitly.
+truncation the result is again a finite graph, and the K-groups are
+those of the original graph at every tail length n >= 1: each chain edge
+puts the only +1 in its row, so the tail is eliminated by unit pivots.
+This demo prints the invariants at lengths 1 to 6, which is what
+``truncation_scan`` checks.
 
 Run:  python3 demos/03_tails_and_truncation.py
 """
@@ -35,8 +37,8 @@ print(f"\nscan verdict: {scan.status} (onset n = {scan.onset})\n")
 print("the desingularized graph at n = 2, in canonical form:")
 print(emit_graph(desingularize(g, 2)))
 
-# different target orderings can give non-isomorphic graphs, but the
-# stabilized invariants agree
+# different target orderings can give non-isomorphic graphs, but both
+# keep the original invariants
 g2 = Graph(["v", "a", "b"], {("v", "a"): INF, ("v", "b"): INF})
 default = truncation_scan(g2)
 swapped = truncation_scan(g2, orderings={"v": ["b", "a"]})

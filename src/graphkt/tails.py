@@ -15,6 +15,8 @@ input graph already passed.
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import TailError
 from .graphs import Graph, INF, singular_vertices
 
@@ -30,7 +32,8 @@ def desingularize(g: Graph, tail_length: int, orderings=None) -> Graph:
     vertex order, with a bad ordering or a fresh name already in the
     graph raises.
     """
-    if tail_length < 1:
+    n = index(tail_length)
+    if n < 1:
         raise ValueError("tail_length must be >= 1")
     if g.declared_singular:
         raise TailError(
@@ -41,7 +44,6 @@ def desingularize(g: Graph, tail_length: int, orderings=None) -> Graph:
     unknown = sorted(set(orderings) - set(sing))
     if unknown:
         raise ValueError(f"ordering given for non-singular vertex: {unknown[0]!r}")
-    n = tail_length
     vertices = list(g.vertices)
     edges = g.edges
     for base in sing:
@@ -50,7 +52,7 @@ def desingularize(g: Graph, tail_length: int, orderings=None) -> Graph:
         if order is not None:
             by_target = dict(targets)
             order = list(order)
-            if sorted(order) != sorted(by_target):
+            if len(order) != len(by_target) or set(order) != by_target.keys():
                 raise ValueError(
                     f"ordering for {base!r} must list each of its targets exactly once"
                 )

@@ -192,13 +192,45 @@ class TestRunProperties:
             return tails.desingularize(h, n, orderings)
 
         monkeypatch.setattr(harness, "desingularize", counting)
-        # stable from length 1, so the scan tries 1 .. 1 + SCAN_WINDOW once each
+        # every length must keep the K-groups, so a passing scan tries
+        # 1 .. 1 + SCAN_WINDOW once each
         for orderings in (None, {"a": ["b", "a"]}):
             calls.clear()
             assert harness.truncation_scan(g, orderings).status == "stable"
             lengths = [n for _h, n, _o in calls]
             assert lengths == list(range(1, 2 + harness.SCAN_WINDOW))
             assert all(h is g and o is orderings for h, _n, o in calls)
+
+    def test_scan_stops_at_the_first_length_that_differs(self, monkeypatch):
+        # a fault at length 2 only: an isolated sink adds a Z to K0. Every
+        # later length is right again, so a scan that waits for the groups
+        # to settle would miss it.
+        def faulty(h, n, orderings=None):
+            calls.append(n)
+            out = tails.desingularize(h, n, orderings)
+            if n == 2:
+                out = Graph([*out.vertices, "extra"], out.edges)
+            return out
+
+        calls = []
+        monkeypatch.setattr(harness, "desingularize", faulty)
+        g = Graph(["w", "v"], {("w", "w"): 1, ("v", "w"): INF})
+        scan = harness.truncation_scan(g)
+        assert calls == [1, 2]
+        assert scan.status == "mismatch" and scan.onset == 2
+        assert scan.value == (AbelianGroup(3), AbelianGroup(1))
+
+        params = RandomGraphParams(seed=1, max_vertices=8)
+        report = run_properties(params, 50)
+        p5 = report.properties["P5"]
+        assert not report.ok
+        assert p5.failed == 50 - p5.skipped > 40
+        seeds = [derive_seed(params.seed, i) for i in range(50)]
+        for f in p5.failures:
+            assert f["seed"] in seeds
+            g = random_graph(replace(params, seed=f["seed"]))
+            assert singular_vertices(g)
+            assert f["detail"].startswith("tail length 2 gave ")
 
     def test_loop_only_graph_skips_p5(self):
         # a graph with no singular vertices has nothing to desingularize

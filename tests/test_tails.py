@@ -87,6 +87,15 @@ class TestAddTail:
         out = desingularize(g, 2, {"v0": ["b", "a"]})
         assert {(s, t) for (s, t) in out.edges if s == "v0"} == {("v0", "b"), ("v0", "v0$1")}
 
+    def test_ordering_with_a_foreign_type_is_a_bad_ordering(self):
+        # entries are compared as a set, not sorted against the targets
+        g = Graph(["v", "a", "b"], {("v", "a"): INF, ("v", "b"): INF})
+        for order in ([1, "a"], ["a", "b", 1], [None, "b"]):
+            with pytest.raises(ValueError, match="'v' must list each of its targets exactly once"):
+                desingularize(g, 2, {"v": order})
+            with pytest.raises(ValueError, match="'v' must list each of its targets exactly once"):
+                truncation_scan(g, {"v": order})
+
 
 def reference_tails(g, n, orderings):
     """The truncated tail graph, built from the rule in the tails module
@@ -158,6 +167,15 @@ class TestDesingularize:
             # a length below 1 is reported before a bad ordering
             with pytest.raises(ValueError, match="tail_length must be >= 1"):
                 desingularize(g, n, {"v0": []})
+
+    def test_length_must_be_an_integer(self):
+        # checked as IntMatrix checks its dimensions, before anything else
+        for g in (Graph(["v0", "w"], {("v0", "w"): INF, ("w", "w"): 1}),
+                  Graph(["v"], {("v", "v"): 2}),
+                  Graph(["v", "w"], {("v", "w"): 1}, {"v"})):
+            for n in (2.5, 0.5):
+                with pytest.raises(TypeError):
+                    desingularize(g, n)
 
     def test_rejects_ordering_for_regular_vertex(self):
         g = Graph(["v", "s"], {("v", "v"): 2})
@@ -332,7 +350,7 @@ class TestWorkedTruncation:
                 continue
             default = truncation_scan(g)
             other = truncation_scan(g, orderings=perm)
-            if default.status == "stable" and other.status == "stable":
-                checked += 1
-                assert default.value == other.value
+            assert (default.status, other.status) == ("stable", "stable"), i
+            assert default.value == other.value
+            checked += 1
         assert checked > 5
