@@ -146,7 +146,7 @@ def truncation_scan(g: Graph, orderings=None) -> ScanResult:
     skipped."""
     if not singular_vertices(g):
         if orderings:
-            raise ValueError(f"ordering given for non-singular vertex: {min(orderings)!r}")
+            desingularize(g, 1, orderings)  # raises: no vertex can take an ordering
         return ScanResult("skip")
     target = k_groups(g)
     goal = (target.k0, target.k1)

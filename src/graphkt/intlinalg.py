@@ -9,9 +9,9 @@ blocks appended to the matrix; kernels, cokernels and the normal form of
 finitely generated abelian groups are read off from it.
 
 :func:`snf` keeps its result on the matrix instance (never on an equal
-matrix built separately), and :func:`kernel_basis`, :func:`invariant_factors`
-and :func:`cokernel` then read V and the diagonal from it; before
-:func:`snf`, or alone, they run cheaper eliminations and keep nothing.
+matrix built separately). :func:`kernel_basis` runs it and reads V; once it
+has run, :func:`invariant_factors` and :func:`cokernel` read the diagonal,
+and before that they run a cheaper elimination and keep nothing.
 """
 
 from __future__ import annotations
@@ -395,19 +395,13 @@ def cokernel_of_factors(rows: int, factors) -> AbelianGroup:
 def kernel_basis(m: IntMatrix) -> list:
     """Basis of {x : m @ x = 0} spanning a direct summand of Z^cols.
 
-    Returns cols - rank vectors (the trailing columns of the right
-    transform of :func:`snf`); empty when the map is injective. Once
-    :func:`snf` has run on ``m`` they are read from its V. Otherwise only
-    the right transform is recorded, as unit rows below m, and nothing is
-    kept.
+    Returns cols - rank vectors, the trailing columns of the right
+    transform V of :func:`snf`; empty when the map is injective. It runs
+    :func:`snf` on ``m``, which keeps its result there.
     """
-    if m._snf is not None:
-        vt = m._snf.v.transpose()
-        return [vt.row(j) for j in range(m._snf.rank, m.cols)]
-    nr, nc = m.rows, m.cols
-    sm = m.to_rows() + IntMatrix.identity(nc).to_rows()
-    rank = _smith(sm, nr, nc)
-    return [tuple(r[j] for r in sm[nr:]) for j in range(rank, nc)]
+    res = snf(m)
+    vt = res.v.transpose()
+    return [vt.row(j) for j in range(res.rank, m.cols)]
 
 
 def cokernel(m: IntMatrix) -> AbelianGroup:

@@ -3,12 +3,12 @@
 For a finite graph with regular part of size r and singular part of size s,
 K0 and K1 are the cokernel and kernel of the stacked (r+s) x r map built
 from the transposed blocks, and Ext (under condition (L)) is the cokernel
-of the r x (r+s) row map. The row map is built in one way only, as the
-transpose of the stacked map, which forces their torsion to agree.
+of the r x (r+s) row map, the transpose of the stacked map.
 
 A matrix and its transpose have the same invariant factors, so all three
-groups come from one elimination of the stacked map. It runs at most once
-per :class:`~graphkt.graphs.Graph` instance: the first of :func:`k_groups`
+groups come from one elimination of the stacked map; Ext is read off it
+without building the row map. The elimination runs at most once per
+:class:`~graphkt.graphs.Graph` instance: the first of :func:`k_groups`
 and :func:`ext_group` to need it fills the graph's ``_stacked`` slot.
 """
 
@@ -26,8 +26,9 @@ class KTheoryResult:
     """K0, K1 and the stacked matrix they were read from.
 
     K1 is the kernel of a map between free groups, so it is free: only its
-    rank is part of the group identity (a concrete basis is available via
-    :func:`graphkt.intlinalg.kernel_basis` on ``stacked_matrix``).
+    rank is part of the group identity. A concrete basis comes from
+    :func:`graphkt.intlinalg.kernel_basis` on ``stacked_matrix``, which runs
+    :func:`~graphkt.intlinalg.snf` and keeps the result on that matrix.
     """
 
     k0: AbelianGroup
@@ -37,8 +38,10 @@ class KTheoryResult:
 
 @dataclass(frozen=True)
 class ExtResult:
+    """Ext, the cokernel of the row map, and whether condition (L) holds.
+    The row map is not kept; :func:`row_matrix` builds it."""
+
     ext: AbelianGroup
-    row_matrix: IntMatrix
     condition_l_holds: bool
 
 
@@ -53,7 +56,7 @@ def stacked_matrix(dec: BlockDecomposition) -> IntMatrix:
 def row_matrix(dec: BlockDecomposition) -> IntMatrix:
     """The r x (r+s) map (regular block minus identity | regular-to-singular
     block), columns ordered regular then singular: the transpose of
-    :func:`stacked_matrix`, which :func:`ext_group` reads Ext off."""
+    :func:`stacked_matrix`. Its cokernel is Ext."""
     return stacked_matrix(dec).transpose()
 
 
@@ -84,8 +87,7 @@ def ext_group(g: Graph, force: bool = False) -> ExtResult:
     if not holds and not force:
         raise ConditionLViolation(witness)
     stacked, d = _stacked_factors(g)
-    mat = stacked.transpose()
-    return ExtResult(cokernel_of_factors(mat.rows, d), mat, holds)
+    return ExtResult(cokernel_of_factors(stacked.cols, d), holds)
 
 
 def corollary_applies(g: Graph) -> bool:

@@ -41,9 +41,10 @@ def desingularize(g: Graph, tail_length: int, orderings=None) -> Graph:
         )
     orderings = dict(orderings or {})
     sing = singular_vertices(g)
-    unknown = sorted(set(orderings) - set(sing))
+    unknown = [v for v in orderings if v not in sing]
     if unknown:
-        raise ValueError(f"ordering given for non-singular vertex: {unknown[0]!r}")
+        # Keys of different types need not compare; their names do.
+        raise ValueError(f"ordering given for non-singular vertex: {min(unknown, key=str)!r}")
     vertices = list(g.vertices)
     edges = g.edges
     for base in sing:
@@ -52,7 +53,8 @@ def desingularize(g: Graph, tail_length: int, orderings=None) -> Graph:
         if order is not None:
             by_target = dict(targets)
             order = list(order)
-            if len(order) != len(by_target) or set(order) != by_target.keys():
+            # Same length and every target present make a permutation; no entry is hashed.
+            if len(order) != len(by_target) or not all(w in order for w in by_target):
                 raise ValueError(
                     f"ordering for {base!r} must list each of its targets exactly once"
                 )

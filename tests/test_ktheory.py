@@ -218,7 +218,6 @@ class TestSharedElimination:
             r = k_groups(g)
             res = ext_group(g, force=True)
         row = row_matrix(block_decomposition(g2))
-        assert res.row_matrix == row
         assert res.ext == cokernel(row)
         assert r == k_groups(g2)
 

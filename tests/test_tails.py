@@ -88,9 +88,10 @@ class TestAddTail:
         assert {(s, t) for (s, t) in out.edges if s == "v0"} == {("v0", "b"), ("v0", "v0$1")}
 
     def test_ordering_with_a_foreign_type_is_a_bad_ordering(self):
-        # entries are compared as a set, not sorted against the targets
+        # entries are compared with the targets, neither sorted against them
+        # nor hashed
         g = Graph(["v", "a", "b"], {("v", "a"): INF, ("v", "b"): INF})
-        for order in ([1, "a"], ["a", "b", 1], [None, "b"]):
+        for order in ([1, "a"], ["a", "b", 1], [None, "b"], [["a"], "b"], ["a", {"b": 1}]):
             with pytest.raises(ValueError, match="'v' must list each of its targets exactly once"):
                 desingularize(g, 2, {"v": order})
             with pytest.raises(ValueError, match="'v' must list each of its targets exactly once"):
@@ -179,8 +180,12 @@ class TestDesingularize:
 
     def test_rejects_ordering_for_regular_vertex(self):
         g = Graph(["v", "s"], {("v", "v"): 2})
-        with pytest.raises(ValueError, match="non-singular"):
-            desingularize(g, 2, orderings={"v": ["v"]})
+        # keys of different types are named, not sorted against each other
+        for orderings, name in (({"v": ["v"]}, "'v'"), ({"x": [], 1: [], "s": []}, "1$")):
+            for call in (lambda: desingularize(g, 2, orderings),
+                         lambda: truncation_scan(g, orderings)):
+                with pytest.raises(ValueError, match=f"non-singular vertex: {name}"):
+                    call()
 
     def test_output_sanity_randomized(self):
         checked = 0
@@ -323,7 +328,8 @@ class TestWorkedTruncation:
         assert truncation_scan(g, {}).status == "skip"
         # an ordering for a regular or a missing vertex is an error before
         # the skip, with desingularize's message
-        for orderings, name in (({"v": ["v"]}, "'v'"), ({"x": ["v"], "w": []}, "'w'")):
+        for orderings, name in (({"v": ["v"]}, "'v'"), ({"x": ["v"], "w": []}, "'w'"),
+                                ({1: [], "x": []}, "1$")):
             for call in (lambda: desingularize(g, 1, orderings),
                          lambda: truncation_scan(g, orderings)):
                 with pytest.raises(ValueError, match=f"non-singular vertex: {name}"):
