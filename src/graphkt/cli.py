@@ -29,6 +29,7 @@ from .harness import (
 )
 from .intlinalg import AbelianGroup, det_bareiss, group_format, snf
 from .ktheory import ext_group, k_groups
+from .tails import desingularize
 
 
 class _UsageError(Exception):
@@ -113,8 +114,6 @@ def _cmd_ext(args) -> int:
 
 
 def _cmd_desingularize(args) -> int:
-    from .tails import desingularize
-
     _check_cap("--truncate", args.truncate)
     g = _load_graph(args.file)
     # Every singular vertex gets its own tail. Declared-singular vertices

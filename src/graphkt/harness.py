@@ -52,8 +52,9 @@ def random_graph(params: RandomGraphParams) -> Graph:
     """One deterministic graph from the given parameters."""
     if params.min_vertices < 1 or params.max_vertices < params.min_vertices:
         raise ValueError("vertex range must satisfy 1 <= min <= max")
-    if not 0.0 <= params.density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
+    for knob in ("density", "infinite_probability", "sink_probability"):
+        if not 0.0 <= getattr(params, knob) <= 1.0:
+            raise ValueError(f"{knob} must lie in [0, 1]")
     if params.max_multiplicity < 1:
         raise ValueError("max_multiplicity must be >= 1")
     rng = random.Random(params.seed)
@@ -207,62 +208,40 @@ def _check_p4(g: Graph, result) -> str | None:
     return None
 
 
-def _scan_outcome(scan: ScanResult, result) -> tuple:
+def _scan_failure(scan: ScanResult, result) -> str | None:
     if scan.status == "stable":
-        return ("pass", None)
+        return None
     k0, k1 = scan.value
-    detail = f"tail length {scan.onset} gave ({k0}, {k1}) instead of ({result.k0}, {result.k1})"
-    return ("fail", detail)
+    return f"tail length {scan.onset} gave ({k0}, {k1}) instead of ({result.k0}, {result.k1})"
 
 
 def _check_graph(g: Graph, rng: random.Random) -> dict:
-    """Run P1..P6 on one graph; returns property name -> (outcome, detail)."""
-    outcomes = {}
+    """Run P1..P6 on one graph; returns property name -> None when it
+    holds, or a failure detail. A property that does not apply to ``g``
+    is left out, and counts as skipped."""
     result = k_groups(g)
     sing = singular_vertices(g)
-
-    # P1
-    if result.k0.free_rank == result.k1.free_rank + len(sing):
-        outcomes["P1"] = ("pass", None)
-    else:
-        outcomes["P1"] = (
-            "fail",
-            f"K0 rank {result.k0.free_rank}, K1 rank {result.k1.free_rank}, "
-            f"singular count {len(sing)}",
-        )
-
-    # P2
     dual = cokernel(result.stacked_matrix.transpose())
-    if result.k0.torsion == dual.torsion:
-        outcomes["P2"] = ("pass", None)
-    else:
-        outcomes["P2"] = (
-            "fail", f"torsion {result.k0.torsion} vs transposed {dual.torsion}"
-        )
-
+    outcomes = {
+        "P1": None if result.k0.free_rank == result.k1.free_rank + len(sing) else (
+            f"K0 rank {result.k0.free_rank}, K1 rank {result.k1.free_rank}, "
+            f"singular count {len(sing)}"
+        ),
+        "P2": None if result.k0.torsion == dual.torsion else (
+            f"torsion {result.k0.torsion} vs transposed {dual.torsion}"
+        ),
+    }
     # P3: the row map is the transposed stacked map, whose cokernel P2 took
     if corollary_applies(g):
         n = len(g.vertices)
-        if (result.k0, result.k1, dual) == (AbelianGroup(n), AbelianGroup(0), AbelianGroup(0)):
-            outcomes["P3"] = ("pass", None)
-        else:
-            outcomes["P3"] = ("fail", f"got ({result.k0}, {result.k1}, {dual}) for n = {n}")
-    else:
-        outcomes["P3"] = ("skip", None)
-
-    # P4
+        expected = (AbelianGroup(n), AbelianGroup(0), AbelianGroup(0))
+        outcomes["P3"] = None if (result.k0, result.k1, dual) == expected else (
+            f"got ({result.k0}, {result.k1}, {dual}) for n = {n}"
+        )
     if not sing:
-        detail = _check_p4(g, result)
-        outcomes["P4"] = ("pass", None) if detail is None else ("fail", detail)
-    else:
-        outcomes["P4"] = ("skip", None)
-
-    # P5
-    if not sing:
-        outcomes["P5"] = ("skip", None)
-        outcomes["P6"] = ("skip", None)
+        outcomes["P4"] = _check_p4(g, result)
         return outcomes
-    outcomes["P5"] = _scan_outcome(truncation_scan(g), result)
+    outcomes["P5"] = _scan_failure(truncation_scan(g), result)
 
     # P6
     permuted = {}
@@ -274,14 +253,14 @@ def _check_graph(g: Graph, rng: random.Random) -> dict:
             if shuffled != targets:
                 permuted[v] = shuffled
     if permuted:
-        outcomes["P6"] = _scan_outcome(truncation_scan(g, permuted), result)
-    else:
-        outcomes["P6"] = ("skip", None)
+        outcomes["P6"] = _scan_failure(truncation_scan(g, permuted), result)
     return outcomes
 
 
 def run_properties(params: RandomGraphParams, count: int) -> HarnessReport:
-    """Generate ``count`` graphs and evaluate P1..P6 on each."""
+    """Generate ``count`` graphs and evaluate P1..P6 on each. A property
+    that ``_check_graph`` leaves out counts as skipped; a crash fails
+    every property, with the exception as the detail."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     stats = {name: PropertyStats(name, desc) for name, desc in _PROPERTIES}
@@ -292,23 +271,16 @@ def run_properties(params: RandomGraphParams, count: int) -> HarnessReport:
         try:
             outcomes = _check_graph(g, rng)
         except Exception as exc:  # a crash is itself a failure worth a seed
-            for name, _desc in _PROPERTIES:
-                st = stats[name]
-                st.failed += 1
-                st.failures.append(
-                    {"seed": seed_i, "graph": emit_graph(g), "detail": f"crash: {exc!r}"}
-                )
-            continue
-        for name, (outcome, detail) in outcomes.items():
-            st = stats[name]
-            if outcome == "pass":
-                st.passed += 1
-            elif outcome == "skip":
+            outcomes = dict.fromkeys(stats, f"crash: {exc!r}")
+        for name, st in stats.items():
+            if name not in outcomes:
                 st.skipped += 1
+            elif outcomes[name] is None:
+                st.passed += 1
             else:
                 st.failed += 1
                 st.failures.append(
-                    {"seed": seed_i, "graph": emit_graph(g), "detail": detail}
+                    {"seed": seed_i, "graph": emit_graph(g), "detail": outcomes[name]}
                 )
     return HarnessReport(params, count, stats)
 

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import time
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 
 from graphkt import cli
 from graphkt.catalog import catalog_path
+from graphkt.intlinalg import IntMatrix, SnfResult
 
 
 def run(capsys, *argv):
@@ -223,8 +225,6 @@ def test_snf_text_and_json(capsys, tmp_path):
 
 
 def test_snf_verification_failure_is_exit_3(capsys, tmp_path, monkeypatch):
-    from graphkt.intlinalg import IntMatrix, SnfResult
-
     def corrupt(m):
         return SnfResult(
             IntMatrix.identity(m.rows), IntMatrix.zeros(m.rows, m.cols),
@@ -279,6 +279,18 @@ def test_harness_json(capsys):
     assert payload["ok"] is True
     assert payload["catalog"]["ok"] is True
     assert payload["properties"]["P1"]["pass"] == 10
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["harness", "--count", "300", "--max-vertices", "16", "--seed", "1"],
+     "e03925a448016594aa916dc02617856bc1b3366a5663ad22f7153a0d40d49066"),
+    (["harness", "--count", "200", "--json"],
+     "4ebf89d0278210cdc04976715c0901a6394e32cbce3183fb19145686921db6a7"),
+])
+def test_harness_report_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_usage_errors_are_exit_1(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from graphkt import harness, ktheory, tails
 from graphkt.catalog import CATALOG, load, verify_catalog
+from graphkt.graphio import emit_graph
 from graphkt.graphs import INF, Graph, block_decomposition, singular_vertices
 from graphkt.harness import (
     RandomGraphParams,
@@ -98,6 +99,10 @@ class TestRandomGraph:
             random_graph(RandomGraphParams(min_vertices=0))
         with pytest.raises(ValueError):
             random_graph(RandomGraphParams(density=1.5))
+        with pytest.raises(ValueError, match="infinite_probability"):
+            random_graph(RandomGraphParams(infinite_probability=7))
+        with pytest.raises(ValueError, match="sink_probability"):
+            random_graph(RandomGraphParams(sink_probability=-3))
 
     def test_derive_seed_is_stable(self):
         assert derive_seed(1, 0) == derive_seed(1, 0)
@@ -121,6 +126,32 @@ class TestRunProperties:
         for st in report.properties.values():
             for f in st.failures:
                 assert "seed" in f and "graph" in f
+
+    def test_a_crash_fails_every_property_with_its_seed(self, monkeypatch):
+        params = RandomGraphParams(seed=5)
+        crash_seed = derive_seed(params.seed, 3)
+        crash_graph = random_graph(replace(params, seed=crash_seed))
+        cokernel = harness.cokernel
+        calls = []
+
+        def raising(m):
+            # the harness takes one cokernel per graph, so the fourth call
+            # belongs to the graph at index 3
+            calls.append(m)
+            if len(calls) == 4:
+                raise RuntimeError("planted")
+            return cokernel(m)
+
+        monkeypatch.setattr(harness, "cokernel", raising)
+        report = run_properties(params, 6)
+        assert not report.ok
+        for st in report.properties.values():
+            assert st.failed == 1
+            (f,) = st.failures
+            assert f["seed"] == crash_seed
+            assert f["graph"] == emit_graph(crash_graph)
+            assert f["detail"].startswith("crash: ")
+            assert "planted" in f["detail"]
 
     def test_rejects_a_count_below_one(self):
         with pytest.raises(ValueError, match="at least 1"):
