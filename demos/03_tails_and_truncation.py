@@ -6,7 +6,8 @@ truncation the result is again a finite graph, and the K-groups are
 those of the original graph at every tail length n >= 1: each chain edge
 puts the only +1 in its row, so the tail is eliminated by unit pivots.
 This demo prints the invariants at lengths 1 to 6, which is what
-``truncation_scan`` checks.
+``truncation_scan`` checks: it returns None when every length keeps the
+original K-groups, and otherwise the first length that does not.
 
 Run:  python3 demos/03_tails_and_truncation.py
 """
@@ -31,8 +32,7 @@ for n in range(1, 7):
     r = k_groups(desingularize(g, n))
     print(f"  n = {n}:  K0 = {group_format(r.k0):<6} K1 = {group_format(r.k1)}")
 
-scan = truncation_scan(g)
-print(f"\nscan verdict: {scan.status} (onset n = {scan.onset})\n")
+print(f"\nscan verdict: {truncation_scan(g)}\n")
 
 print("the desingularized graph at n = 2, in canonical form:")
 print(emit_graph(desingularize(g, 2)))
@@ -40,8 +40,8 @@ print(emit_graph(desingularize(g, 2)))
 # different target orderings can give non-isomorphic graphs, but both
 # keep the original invariants
 g2 = Graph(["v", "a", "b"], {("v", "a"): INF, ("v", "b"): INF})
-default = truncation_scan(g2)
-swapped = truncation_scan(g2, orderings={"v": ["b", "a"]})
+base2 = k_groups(g2)
 print("two target orderings at an infinite emitter:")
-print(f"  default  -> {default.status}, value {tuple(map(group_format, default.value))}")
-print(f"  permuted -> {swapped.status}, value {tuple(map(group_format, swapped.value))}")
+print(f"  original K0 = {group_format(base2.k0)}, K1 = {group_format(base2.k1)}")
+print(f"  default  -> scan verdict {truncation_scan(g2)}")
+print(f"  permuted -> scan verdict {truncation_scan(g2, orderings={'v': ['b', 'a']})}")

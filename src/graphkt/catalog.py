@@ -88,19 +88,23 @@ def verify_catalog() -> list:
             problems.append(f"{entry.name}: K0 = {r.k0}, expected {entry.k0}")
         if r.k1 != entry.k1:
             problems.append(f"{entry.name}: K1 = {r.k1}, expected {entry.k1}")
+        try:
+            res, witness = ext_group(g), None
+        except ConditionLViolation as e:
+            res, witness = None, e.witness
         if entry.ext is not None:
-            res = ext_group(g)
-            if res.ext != entry.ext or not res.condition_l_holds:
+            if witness is not None:
+                problems.append(
+                    f"{entry.name}: condition (L) fails with witness {witness}, "
+                    f"expected Ext = {entry.ext}"
+                )
+            elif res.ext != entry.ext or not res.condition_l_holds:
                 problems.append(f"{entry.name}: Ext = {res.ext}, expected {entry.ext}")
+        elif witness is None:
+            problems.append(f"{entry.name}: expected a condition (L) violation")
         else:
-            try:
-                ext_group(g)
-                problems.append(f"{entry.name}: expected a condition (L) violation")
-            except ConditionLViolation as e:
-                if e.witness != entry.ext_witness:
-                    problems.append(
-                        f"{entry.name}: witness {e.witness}, expected {entry.ext_witness}"
-                    )
+            if witness != entry.ext_witness:
+                problems.append(f"{entry.name}: witness {witness}, expected {entry.ext_witness}")
             forced = ext_group(g, force=True)
             if forced.ext != entry.forced_ext or forced.condition_l_holds:
                 problems.append(

@@ -7,8 +7,8 @@ The suite generates seeded random graphs and checks, per graph:
   P3  all-singular graphs compute to (Z^n, 0, 0) at the matrix level
   P4  with no singular vertices the stacked map reduces to the full
       vertex matrix
-  P5  tails from ``desingularize`` of every length 1 .. 1 + SCAN_WINDOW
-      keep the original K-groups (``truncation_scan``)
+  P5  tails from ``desingularize`` of every length in SCAN_LENGTHS
+      (1 to 6) keep the original K-groups (``truncation_scan``)
   P6  so do tails built with permuted target orders
 
 P5 and P6 cannot see how many edges a tail re-emits: each chain edge
@@ -31,7 +31,7 @@ from .intlinalg import AbelianGroup, IntMatrix, cokernel, cokernel_of_factors, i
 from .ktheory import corollary_applies, k_groups
 from .tails import desingularize
 
-SCAN_WINDOW = 5
+SCAN_LENGTHS = range(1, 7)
 
 
 @dataclass(frozen=True)
@@ -126,36 +126,36 @@ EA_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Outcome of scanning tail lengths: 'skip' (nothing to desingularize),
-    'stable' (every length 1 .. 1 + SCAN_WINDOW gives the original
-    K-groups, ``value``; ``onset`` is 1), or 'mismatch' (``onset`` is the
-    first length whose K-groups differ, and ``value`` holds them)."""
-
-    status: str
-    onset: int | None = None
-    value: tuple | None = None
-
-
-def truncation_scan(g: Graph, orderings=None) -> ScanResult:
+def truncation_scan(g: Graph, orderings=None) -> str | None:
     """Check that ``desingularize(g, n, orderings)`` has the K-groups of
-    ``g`` at every tail length n = 1 .. 1 + SCAN_WINDOW, in that order. A
-    tail of any length is eliminated by unit pivots, so each length must
-    match; the first that does not is the mismatch. ``orderings`` are
-    checked as ``desingularize`` checks them, also on a graph that is
-    skipped."""
-    if not singular_vertices(g):
-        if orderings:
-            desingularize(g, 1, orderings)  # raises: no vertex can take an ordering
-        return ScanResult("skip")
+    ``g`` at every tail length n in SCAN_LENGTHS, in that order. A tail of
+    any length is eliminated by unit pivots, so each length must match.
+    Returns None when all do, or else the first length that does not,
+    with its groups. ``orderings`` are checked as ``desingularize`` checks
+    them.
+
+    >>> g = Graph(["w", "v"], {("w", "w"): 1, ("v", "w"): INF})
+    >>> print(truncation_scan(g))
+    None
+
+    A faulty tail builder that adds an isolated vertex at length 2 puts
+    one Z too many into K0 there:
+
+    >>> from unittest import mock
+    >>> import graphkt.harness as harness
+    >>> def faulty(h, n, orderings=None):
+    ...     out = desingularize(h, n, orderings)
+    ...     return Graph([*out.vertices, "x"], out.edges) if n == 2 else out
+    >>> with mock.patch.object(harness, "desingularize", faulty):
+    ...     truncation_scan(g)
+    'tail length 2 gave (Z^3, Z) instead of (Z^2, Z)'
+    """
     target = k_groups(g)
-    goal = (target.k0, target.k1)
-    for n in range(1, 2 + SCAN_WINDOW):
+    for n in SCAN_LENGTHS:
         r = k_groups(desingularize(g, n, orderings))
-        if (r.k0, r.k1) != goal:
-            return ScanResult("mismatch", n, (r.k0, r.k1))
-    return ScanResult("stable", 1, goal)
+        if (r.k0, r.k1) != (target.k0, target.k1):
+            return f"tail length {n} gave ({r.k0}, {r.k1}) instead of ({target.k0}, {target.k1})"
+    return None
 
 
 _PROPERTIES = (
@@ -208,13 +208,6 @@ def _check_p4(g: Graph, result) -> str | None:
     return None
 
 
-def _scan_failure(scan: ScanResult, result) -> str | None:
-    if scan.status == "stable":
-        return None
-    k0, k1 = scan.value
-    return f"tail length {scan.onset} gave ({k0}, {k1}) instead of ({result.k0}, {result.k1})"
-
-
 def _check_graph(g: Graph, rng: random.Random) -> dict:
     """Run P1..P6 on one graph; returns property name -> None when it
     holds, or a failure detail. A property that does not apply to ``g``
@@ -241,7 +234,7 @@ def _check_graph(g: Graph, rng: random.Random) -> dict:
     if not sing:
         outcomes["P4"] = _check_p4(g, result)
         return outcomes
-    outcomes["P5"] = _scan_failure(truncation_scan(g), result)
+    outcomes["P5"] = truncation_scan(g)
 
     # P6
     permuted = {}
@@ -253,7 +246,7 @@ def _check_graph(g: Graph, rng: random.Random) -> dict:
             if shuffled != targets:
                 permuted[v] = shuffled
     if permuted:
-        outcomes["P6"] = _scan_failure(truncation_scan(g, permuted), result)
+        outcomes["P6"] = truncation_scan(g, permuted)
     return outcomes
 
 

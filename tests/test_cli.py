@@ -224,18 +224,24 @@ def test_snf_text_and_json(capsys, tmp_path):
     assert out.strip() == '{"rows":2,"cols":2,"rank":2,"diagonal":[2,4]}'
 
 
-def test_snf_verification_failure_is_exit_3(capsys, tmp_path, monkeypatch):
-    def corrupt(m):
-        return SnfResult(
-            IntMatrix.identity(m.rows), IntMatrix.zeros(m.rows, m.cols),
-            IntMatrix.identity(m.cols), 0,
-        )
-
-    monkeypatch.setattr(cli, "snf", corrupt)
+# Every case but the first keeps U @ M @ V == S and breaks another
+# certificate: a unimodular transform or the divisor chain.
+@pytest.mark.parametrize("m, u, s, v, rank", [
+    ([[5]], [[1]], [[0]], [[1]], 0),
+    ([[1]], [[2]], [[2]], [[1]], 1),
+    ([[1]], [[1]], [[2]], [[2]], 1),
+    ([[2, 0], [0, 3]], [[1, 0], [0, 1]], [[2, 0], [0, 3]], [[1, 0], [0, 1]], 2),
+    ([[-1]], [[1]], [[-1]], [[1]], 1),
+    ([[0]], [[1]], [[0]], [[1]], 1),
+], ids=["wrong-product", "u-not-unimodular", "v-not-unimodular", "no-divisor-chain",
+        "negative-factor", "zero-within-rank"])
+def test_snf_verification_failure_is_exit_3(capsys, tmp_path, monkeypatch, m, u, s, v, rank):
+    res = SnfResult(*map(IntMatrix.from_rows, (u, s, v)), rank)
+    monkeypatch.setattr(cli, "snf", lambda _m: res)
     p = tmp_path / "m.txt"
-    p.write_text("1 1\n5\n")
-    code, _, err = run(capsys, "snf", str(p))
-    assert code == 3
+    p.write_text(f"{len(m)} {len(m[0])}\n" + "".join(" ".join(map(str, r)) + "\n" for r in m))
+    code, out, err = run(capsys, "snf", str(p))
+    assert (code, out) == (3, "")
     assert "verification failed" in err
 
 

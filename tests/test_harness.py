@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from graphkt import harness, ktheory, tails
-from graphkt.catalog import CATALOG, load, verify_catalog
+from graphkt import catalog, cli, harness, ktheory, tails
+from graphkt.catalog import CATALOG, CatalogEntry, load, verify_catalog
 from graphkt.graphio import emit_graph
 from graphkt.graphs import INF, Graph, block_decomposition, singular_vertices
 from graphkt.harness import (
@@ -224,12 +224,13 @@ class TestRunProperties:
 
         monkeypatch.setattr(harness, "desingularize", counting)
         # every length must keep the K-groups, so a passing scan tries
-        # 1 .. 1 + SCAN_WINDOW once each
+        # each of SCAN_LENGTHS once, in order
+        assert list(harness.SCAN_LENGTHS) == [1, 2, 3, 4, 5, 6]
         for orderings in (None, {"a": ["b", "a"]}):
             calls.clear()
-            assert harness.truncation_scan(g, orderings).status == "stable"
+            assert harness.truncation_scan(g, orderings) is None
             lengths = [n for _h, n, _o in calls]
-            assert lengths == list(range(1, 2 + harness.SCAN_WINDOW))
+            assert lengths == list(harness.SCAN_LENGTHS)
             assert all(h is g and o is orderings for h, _n, o in calls)
 
     def test_scan_stops_at_the_first_length_that_differs(self, monkeypatch):
@@ -246,10 +247,9 @@ class TestRunProperties:
         calls = []
         monkeypatch.setattr(harness, "desingularize", faulty)
         g = Graph(["w", "v"], {("w", "w"): 1, ("v", "w"): INF})
-        scan = harness.truncation_scan(g)
+        detail = harness.truncation_scan(g)
+        assert detail == "tail length 2 gave (Z^3, Z) instead of (Z^2, Z)"
         assert calls == [1, 2]
-        assert scan.status == "mismatch" and scan.onset == 2
-        assert scan.value == (AbelianGroup(3), AbelianGroup(1))
 
         params = RandomGraphParams(seed=1, max_vertices=8)
         report = run_properties(params, 50)
@@ -275,9 +275,49 @@ class TestRunProperties:
         assert report.properties["P4"].passed == 5
 
 
+Z, Z2, ZERO = AbelianGroup(1), AbelianGroup(2), AbelianGroup(0)
+Z_2, Z_3 = AbelianGroup(0, (2,)), AbelianGroup(0, (3,))
+
+
 class TestCatalog:
     def test_verify_catalog_is_clean(self):
         assert verify_catalog() == []
+
+    @pytest.mark.parametrize("planted, problem", [
+        (CatalogEntry("inf_to_loop", Z2, Z, ZERO),
+         "inf_to_loop: condition (L) fails with witness ('w',), expected Ext = 0"),
+        (CatalogEntry("o3", Z_3, ZERO, Z_2), "o3: K0 = Z/2, expected Z/3"),
+        (CatalogEntry("o3", Z_2, ZERO, Z_3), "o3: Ext = Z/2, expected Z/3"),
+        (CatalogEntry("inf_to_loop", Z2, Z, None, ext_witness=("v",), forced_ext=Z),
+         "inf_to_loop: witness ('w',), expected ('v',)"),
+        (CatalogEntry("inf_to_loop", Z2, Z, None, ext_witness=("w",), forced_ext=ZERO),
+         "inf_to_loop: forced Ext = Z, expected 0"),
+        (CatalogEntry("o3", Z_2, ZERO, None, ext_witness=("v",), forced_ext=Z_2),
+         "o3: expected a condition (L) violation"),
+    ], ids=["condition-l-fails", "k0", "ext", "witness", "forced-ext", "condition-l-holds"])
+    def test_each_planted_problem_is_one_line(self, monkeypatch, planted, problem):
+        entries = [planted if e.name == planted.name else e for e in CATALOG]
+        monkeypatch.setattr(catalog, "CATALOG", tuple(entries))
+        assert verify_catalog() == [problem]
+
+    def test_a_non_canonical_file_is_one_line(self, monkeypatch):
+        text = catalog.catalog_text
+        monkeypatch.setattr(
+            catalog, "catalog_text",
+            lambda name: text(name) + "\n" if name == "o4" else text(name),
+        )
+        assert verify_catalog() == ["o4: stored file is not canonical"]
+
+    def test_harness_reports_a_catalog_problem(self, monkeypatch, capsys):
+        # an entry expecting Ext on a graph that fails condition (L) is a
+        # problem line in the report, not an uncaught domain error
+        entries = [CatalogEntry("inf_to_loop", Z2, Z, ZERO) if e.name == "inf_to_loop" else e
+                   for e in CATALOG]
+        monkeypatch.setattr(catalog, "CATALOG", tuple(entries))
+        assert cli.main(["harness", "--count", "2"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("catalog: 1 problem(s)\n  inf_to_loop: condition (L) fails")
+        assert out.rstrip().endswith("result: FAIL")
 
     def test_catalog_covers_the_expected_families(self):
         names = {e.name for e in CATALOG}
