@@ -8,63 +8,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ConditionLViolation
 from .graphio import emit_graph, parse_graph
-from .graphs import Graph
+from .graphs import Graph, condition_l
 from .intlinalg import AbelianGroup
 from .ktheory import ext_group, k_groups
-
-TRIVIAL = AbelianGroup(0)
-
-
-def _free(rank: int) -> AbelianGroup:
-    return AbelianGroup(rank)
-
-
-def _cyclic(n: int) -> AbelianGroup:
-    return AbelianGroup(0, (n,))
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """Locked expectations: K0, K1, and either an Ext value (condition (L)
-    holds) or a witness cycle plus the forced formula value."""
+    """Locked expectations: K0, K1, the Ext formula value and the witness
+    cycle of a condition (L) failure. With no witness, (L) holds and the
+    formula value is Ext itself."""
 
     name: str
     k0: AbelianGroup
     k1: AbelianGroup
-    ext: AbelianGroup | None
-    ext_witness: tuple = ()
-    forced_ext: AbelianGroup | None = None
+    ext: AbelianGroup
+    witness: tuple = ()
 
 
 CATALOG = (
-    CatalogEntry("o2", TRIVIAL, TRIVIAL, TRIVIAL),
-    CatalogEntry("o3", _cyclic(2), TRIVIAL, _cyclic(2)),
-    CatalogEntry("o4", _cyclic(3), TRIVIAL, _cyclic(3)),
-    CatalogEntry("o5", _cyclic(4), TRIVIAL, _cyclic(4)),
-    CatalogEntry("oinf", _free(1), TRIVIAL, TRIVIAL),
-    CatalogEntry("sink1", _free(1), TRIVIAL, TRIVIAL),
-    CatalogEntry("sink2", _free(2), TRIVIAL, TRIVIAL),
-    CatalogEntry("sink3", _free(3), TRIVIAL, TRIVIAL),
-    CatalogEntry(
-        "inf_to_loop", _free(2), _free(1), None, ext_witness=("w",), forced_ext=_free(1)
-    ),
-    CatalogEntry("ea5", _free(2), TRIVIAL, TRIVIAL),
-    CatalogEntry("ea6", _free(2), TRIVIAL, TRIVIAL),
-    CatalogEntry("ea7", _free(2), TRIVIAL, TRIVIAL),
-    CatalogEntry("ea8", _free(2), TRIVIAL, TRIVIAL),
-    CatalogEntry("ea9", _free(2), TRIVIAL, TRIVIAL),
-    CatalogEntry("ea10", _free(2), TRIVIAL, TRIVIAL),
+    CatalogEntry("o2", AbelianGroup(0), AbelianGroup(0), AbelianGroup(0)),
+    CatalogEntry("o3", AbelianGroup(0, (2,)), AbelianGroup(0), AbelianGroup(0, (2,))),
+    CatalogEntry("o4", AbelianGroup(0, (3,)), AbelianGroup(0), AbelianGroup(0, (3,))),
+    CatalogEntry("o5", AbelianGroup(0, (4,)), AbelianGroup(0), AbelianGroup(0, (4,))),
+    CatalogEntry("oinf", AbelianGroup(1), AbelianGroup(0), AbelianGroup(0)),
+    CatalogEntry("sink1", AbelianGroup(1), AbelianGroup(0), AbelianGroup(0)),
+    CatalogEntry("sink2", AbelianGroup(2), AbelianGroup(0), AbelianGroup(0)),
+    CatalogEntry("sink3", AbelianGroup(3), AbelianGroup(0), AbelianGroup(0)),
+    CatalogEntry("inf_to_loop", AbelianGroup(2), AbelianGroup(1), AbelianGroup(1), ("w",)),
+    CatalogEntry("ea5", AbelianGroup(2), AbelianGroup(0), AbelianGroup(0)),
+    CatalogEntry("ea6", AbelianGroup(2), AbelianGroup(0), AbelianGroup(0)),
+    CatalogEntry("ea7", AbelianGroup(2), AbelianGroup(0), AbelianGroup(0)),
+    CatalogEntry("ea8", AbelianGroup(2), AbelianGroup(0), AbelianGroup(0)),
+    CatalogEntry("ea9", AbelianGroup(2), AbelianGroup(0), AbelianGroup(0)),
+    CatalogEntry("ea10", AbelianGroup(2), AbelianGroup(0), AbelianGroup(0)),
 )
 
 
-def catalog_dir():
-    return resources.files(__package__) / "catalog"
-
-
 def catalog_path(name: str):
-    return catalog_dir() / f"{name}.graph"
+    return resources.files(__package__) / "catalog" / f"{name}.graph"
 
 
 def catalog_text(name: str) -> str:
@@ -76,7 +59,8 @@ def load(name: str) -> Graph:
 
 
 def verify_catalog() -> list:
-    """Recompute every catalog entry; returns a list of problems (empty = ok)."""
+    """Recompute every catalog entry; returns one line per stored file that
+    is not canonical and per locked value that moved (empty = ok)."""
     problems = []
     for entry in CATALOG:
         text = catalog_text(entry.name)
@@ -84,30 +68,9 @@ def verify_catalog() -> list:
         if emit_graph(g) != text:
             problems.append(f"{entry.name}: stored file is not canonical")
         r = k_groups(g)
-        if r.k0 != entry.k0:
-            problems.append(f"{entry.name}: K0 = {r.k0}, expected {entry.k0}")
-        if r.k1 != entry.k1:
-            problems.append(f"{entry.name}: K1 = {r.k1}, expected {entry.k1}")
-        try:
-            res, witness = ext_group(g), None
-        except ConditionLViolation as e:
-            res, witness = None, e.witness
-        if entry.ext is not None:
-            if witness is not None:
-                problems.append(
-                    f"{entry.name}: condition (L) fails with witness {witness}, "
-                    f"expected Ext = {entry.ext}"
-                )
-            elif res.ext != entry.ext or not res.condition_l_holds:
-                problems.append(f"{entry.name}: Ext = {res.ext}, expected {entry.ext}")
-        elif witness is None:
-            problems.append(f"{entry.name}: expected a condition (L) violation")
-        else:
-            if witness != entry.ext_witness:
-                problems.append(f"{entry.name}: witness {witness}, expected {entry.ext_witness}")
-            forced = ext_group(g, force=True)
-            if forced.ext != entry.forced_ext or forced.condition_l_holds:
-                problems.append(
-                    f"{entry.name}: forced Ext = {forced.ext}, expected {entry.forced_ext}"
-                )
+        got = (r.k0, r.k1, ext_group(g, force=True).ext, tuple(condition_l(g)[1] or ()))
+        want = (entry.k0, entry.k1, entry.ext, entry.witness)
+        for field, value, expected in zip(("K0", "K1", "Ext", "witness"), got, want):
+            if value != expected:
+                problems.append(f"{entry.name}: {field} = {value}, expected {expected}")
     return problems

@@ -184,10 +184,14 @@ class HarnessReport:
     params: RandomGraphParams
     count: int
     properties: dict
+    # verify_catalog's lines; run_properties leaves this empty
+    catalog_problems: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return all(st.failed == 0 for st in self.properties.values())
+        return not self.catalog_problems and all(
+            st.failed == 0 for st in self.properties.values()
+        )
 
 
 def _check_p4(g: Graph, result) -> str | None:
@@ -278,7 +282,7 @@ def run_properties(params: RandomGraphParams, count: int) -> HarnessReport:
     return HarnessReport(params, count, stats)
 
 
-def report_json(report: HarnessReport, catalog_problems: list) -> dict:
+def report_json(report: HarnessReport) -> dict:
     props = {}
     for name, st in report.properties.items():
         entry = {
@@ -295,17 +299,17 @@ def report_json(report: HarnessReport, catalog_problems: list) -> dict:
         "seed": report.params.seed,
         "count": report.count,
         "max_vertices": report.params.max_vertices,
-        "catalog": {"ok": not catalog_problems, "problems": list(catalog_problems)},
+        "catalog": {"ok": not report.catalog_problems, "problems": list(report.catalog_problems)},
         "properties": props,
-        "ok": report.ok and not catalog_problems,
+        "ok": report.ok,
     }
 
 
-def format_report(report: HarnessReport, catalog_problems: list) -> str:
+def format_report(report: HarnessReport) -> str:
     lines = []
-    if catalog_problems:
-        lines.append(f"catalog: {len(catalog_problems)} problem(s)")
-        lines.extend(f"  {p}" for p in catalog_problems)
+    if report.catalog_problems:
+        lines.append(f"catalog: {len(report.catalog_problems)} problem(s)")
+        lines.extend(f"  {p}" for p in report.catalog_problems)
     else:
         lines.append("catalog: ok")
     for name, st in report.properties.items():
@@ -319,6 +323,5 @@ def format_report(report: HarnessReport, catalog_problems: list) -> str:
         for f in st.failures:
             lines.append(f"  FAIL seed={f['seed']}: {f['detail']}")
             lines.extend("    " + l for l in f["graph"].rstrip().splitlines())
-    ok = report.ok and not catalog_problems
-    lines.append("result: " + ("PASS" if ok else "FAIL"))
+    lines.append("result: " + ("PASS" if report.ok else "FAIL"))
     return "\n".join(lines)

@@ -224,8 +224,10 @@ def test_snf_text_and_json(capsys, tmp_path):
     assert out.strip() == '{"rows":2,"cols":2,"rank":2,"diagonal":[2,4]}'
 
 
-# Every case but the first keeps U @ M @ V == S and breaks another
-# certificate: a unimodular transform or the divisor chain.
+# Every case but the first and the last keeps U @ M @ V == S and breaks
+# another certificate: a unimodular transform, the divisor chain, the
+# diagonal shape of S or the bound on the rank. The last gives U @ M @ V
+# the right diagonal but S an entry off it.
 @pytest.mark.parametrize("m, u, s, v, rank", [
     ([[5]], [[1]], [[0]], [[1]], 0),
     ([[1]], [[2]], [[2]], [[1]], 1),
@@ -233,8 +235,12 @@ def test_snf_text_and_json(capsys, tmp_path):
     ([[2, 0], [0, 3]], [[1, 0], [0, 1]], [[2, 0], [0, 3]], [[1, 0], [0, 1]], 2),
     ([[-1]], [[1]], [[-1]], [[1]], 1),
     ([[0]], [[1]], [[0]], [[1]], 1),
+    ([[2, 1], [0, 2]], [[1, 0], [0, 1]], [[2, 1], [0, 2]], [[1, 0], [0, 1]], 2),
+    ([[1]], [[1]], [[1]], [[1]], 2),
+    ([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 1]], 2),
 ], ids=["wrong-product", "u-not-unimodular", "v-not-unimodular", "no-divisor-chain",
-        "negative-factor", "zero-within-rank"])
+        "negative-factor", "zero-within-rank", "not-diagonal", "rank-above-side",
+        "s-off-diagonal"])
 def test_snf_verification_failure_is_exit_3(capsys, tmp_path, monkeypatch, m, u, s, v, rank):
     res = SnfResult(*map(IntMatrix.from_rows, (u, s, v)), rank)
     monkeypatch.setattr(cli, "snf", lambda _m: res)

@@ -1,5 +1,6 @@
 """Random graph generator, the truncation family, and the property runner."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -284,21 +285,35 @@ class TestCatalog:
         assert verify_catalog() == []
 
     @pytest.mark.parametrize("planted, problem", [
-        (CatalogEntry("inf_to_loop", Z2, Z, ZERO),
-         "inf_to_loop: condition (L) fails with witness ('w',), expected Ext = 0"),
+        (CatalogEntry("inf_to_loop", Z2, Z, Z),
+         "inf_to_loop: witness = ('w',), expected ()"),
         (CatalogEntry("o3", Z_3, ZERO, Z_2), "o3: K0 = Z/2, expected Z/3"),
         (CatalogEntry("o3", Z_2, ZERO, Z_3), "o3: Ext = Z/2, expected Z/3"),
-        (CatalogEntry("inf_to_loop", Z2, Z, None, ext_witness=("v",), forced_ext=Z),
-         "inf_to_loop: witness ('w',), expected ('v',)"),
-        (CatalogEntry("inf_to_loop", Z2, Z, None, ext_witness=("w",), forced_ext=ZERO),
-         "inf_to_loop: forced Ext = Z, expected 0"),
-        (CatalogEntry("o3", Z_2, ZERO, None, ext_witness=("v",), forced_ext=Z_2),
-         "o3: expected a condition (L) violation"),
+        (CatalogEntry("inf_to_loop", Z2, Z, Z, ("v",)),
+         "inf_to_loop: witness = ('w',), expected ('v',)"),
+        (CatalogEntry("inf_to_loop", Z2, Z, ZERO, ("w",)),
+         "inf_to_loop: Ext = Z, expected 0"),
+        (CatalogEntry("o3", Z_2, ZERO, Z_2, ("v",)),
+         "o3: witness = (), expected ('v',)"),
     ], ids=["condition-l-fails", "k0", "ext", "witness", "forced-ext", "condition-l-holds"])
     def test_each_planted_problem_is_one_line(self, monkeypatch, planted, problem):
         entries = [planted if e.name == planted.name else e for e in CATALOG]
         monkeypatch.setattr(catalog, "CATALOG", tuple(entries))
         assert verify_catalog() == [problem]
+
+    @pytest.mark.parametrize("field, attr", [
+        ("K0", "k0"), ("K1", "k1"), ("Ext", "ext"), ("witness", "witness"),
+    ], ids=["k0", "k1", "ext", "witness"])
+    @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+    def test_one_wrong_value_is_one_line(self, monkeypatch, entry, field, attr):
+        locked = getattr(entry, attr)
+        if attr == "witness":
+            wrong = locked + ("x",)
+        else:
+            wrong = AbelianGroup(locked.free_rank + 1, locked.torsion)
+        entries = [replace(e, **{attr: wrong}) if e is entry else e for e in CATALOG]
+        monkeypatch.setattr(catalog, "CATALOG", tuple(entries))
+        assert verify_catalog() == [f"{entry.name}: {field} = {locked}, expected {wrong}"]
 
     def test_a_non_canonical_file_is_one_line(self, monkeypatch):
         text = catalog.catalog_text
@@ -309,15 +324,20 @@ class TestCatalog:
         assert verify_catalog() == ["o4: stored file is not canonical"]
 
     def test_harness_reports_a_catalog_problem(self, monkeypatch, capsys):
-        # an entry expecting Ext on a graph that fails condition (L) is a
+        # an entry expecting condition (L) on a graph that fails it is a
         # problem line in the report, not an uncaught domain error
-        entries = [CatalogEntry("inf_to_loop", Z2, Z, ZERO) if e.name == "inf_to_loop" else e
+        entries = [CatalogEntry("inf_to_loop", Z2, Z, Z) if e.name == "inf_to_loop" else e
                    for e in CATALOG]
         monkeypatch.setattr(catalog, "CATALOG", tuple(entries))
+        problem = "inf_to_loop: witness = ('w',), expected ()"
         assert cli.main(["harness", "--count", "2"]) == 2
         out = capsys.readouterr().out
-        assert out.startswith("catalog: 1 problem(s)\n  inf_to_loop: condition (L) fails")
+        assert out.startswith(f"catalog: 1 problem(s)\n  {problem}\n")
         assert out.rstrip().endswith("result: FAIL")
+        assert cli.main(["harness", "--count", "2", "--json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["catalog"] == {"ok": False, "problems": [problem]}
+        assert payload["ok"] is False
 
     def test_catalog_covers_the_expected_families(self):
         names = {e.name for e in CATALOG}
