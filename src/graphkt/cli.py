@@ -66,12 +66,15 @@ def _cmd_info(args) -> int:
     print(f"regular count: {len(g.vertices) - len(sing)}")
     print(f"singular count: {len(sing)}")
     print(f"row-finite: {'yes' if is_row_finite(g) else 'no'}")
-    holds, witness = condition_l(g)
-    if holds:
-        print("condition (L): holds")
-    else:
-        print("condition (L): fails; witness: " + " ".join(witness))
+    _print_condition_l(g)
     return 0
+
+
+def _print_condition_l(g) -> bool:
+    """Print the condition (L) line and return whether (L) holds."""
+    holds, witness = condition_l(g)
+    print("condition (L): " + ("holds" if holds else "fails; witness: " + " ".join(witness)))
+    return holds
 
 
 def _cmd_ktheory(args) -> int:
@@ -142,13 +145,7 @@ def _cmd_desingularize(args) -> int:
 
 
 def _cmd_check_l(args) -> int:
-    g = _load_graph(args.file)
-    holds, witness = condition_l(g)
-    if holds:
-        print("condition (L): holds")
-        return 0
-    print("condition (L): fails; witness: " + " ".join(witness))
-    return 2
+    return 0 if _print_condition_l(_load_graph(args.file)) else 2
 
 
 def _cmd_snf(args) -> int:
@@ -158,10 +155,8 @@ def _cmd_snf(args) -> int:
     factors = diag[:res.rank]
     # S must be M-shaped, with the first rank entries of its diagonal on the
     # diagonal and zeros everywhere else
-    s = IntMatrix(m.rows, m.cols, (
-        factors[i] if i == j and i < len(factors) else 0
-        for i in range(m.rows) for j in range(m.cols)
-    ))
+    s = IntMatrix.from_rows(([factors[i] if i == j < len(factors) else 0 for j in range(m.cols)]
+                             for i in range(m.rows)), cols=m.cols)
     verified = (
         0 <= res.rank <= min(m.rows, m.cols)
         and res.s == s

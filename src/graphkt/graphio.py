@@ -138,7 +138,7 @@ def parse_matrix(text: str) -> IntMatrix:
         raise ValueError(f"matrix must be at most {MATRIX_CAP} x {MATRIX_CAP}, got {rows} x {cols}")
     body = lines[1:]
     if cols == 0 and not body:
-        return IntMatrix(rows, 0, ())
+        return IntMatrix.from_rows([()] * rows, cols=0)
     if len(body) != rows:
         raise ParseError(ln0, f"expected {rows} matrix rows, got {len(body)}")
     data = []

@@ -199,12 +199,10 @@ def _check_p4(g: Graph, result) -> str | None:
     # edge map alone, independently of block_decomposition.
     n = len(g.vertices)
     pos = {v: k for k, v in enumerate(g.vertices)}
-    delta = [0] * (n * n)
-    for k in range(n):
-        delta[k * n + k] = -1
+    delta = [[-1 if i == k else 0 for k in range(n)] for i in range(n)]
     for (v, w), m in g.edges.items():
-        delta[pos[w] * n + pos[v]] += m
-    d = invariant_factors(IntMatrix(n, n, delta))
+        delta[pos[w]][pos[v]] += m
+    d = invariant_factors(IntMatrix.from_rows(delta, cols=n))
     k0 = cokernel_of_factors(n, d)
     k1 = AbelianGroup(n - len(d))
     if result.k0 != k0 or result.k1 != k1:

@@ -37,17 +37,6 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "_sparse", "_snf")
 
-    def __init__(self, rows: int, cols: int, entries):
-        if index(rows) < 0 or index(cols) < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        data = tuple(entries)
-        if len(data) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        self.rows = rows
-        self.cols = cols
-        self._sparse = [_row_dict(data[i * cols:(i + 1) * cols]) for i in range(rows)]
-        self._snf = None
-
     @classmethod
     def _of_rows(cls, rows: int, cols: int, sparse: list) -> "IntMatrix":
         """Matrix owning ``sparse``: row dicts of nonzero ints, unchecked."""
@@ -60,6 +49,11 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, cols: int | None = None) -> "IntMatrix":
+        """Matrix of these rows of ints; with no rows, ``cols`` gives the width.
+
+        >>> IntMatrix.from_rows([], cols=3).cols
+        3
+        """
         # Lists and tuples are only read, so they are not copied.
         rows = [r if isinstance(r, (list, tuple)) else list(r) for r in rows]
         if cols is None:
@@ -67,22 +61,12 @@ class IntMatrix:
         for r in rows:
             if len(r) != cols:
                 raise ValueError("ragged rows")
-        if index(cols) < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        return cls._of_rows(len(rows), cols, [_row_dict(r) for r in rows])
+        return cls._of_rows(len(rows), _side(cols), [_row_dict(r) for r in rows])
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        m = cls.zeros(n, n)
-        for i, row in enumerate(m._sparse):
-            row[i] = 1
-        return m
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        if index(rows) < 0 or index(cols) < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        return cls._of_rows(rows, cols, [{} for _ in range(rows)])
+        n = _side(n)
+        return cls._of_rows(n, n, [{i: 1} for i in range(n)])
 
     def __getitem__(self, key):
         i, j = key
@@ -146,6 +130,13 @@ class IntMatrix:
             cols = f", cols={self.cols}" if self.cols and not self.rows else ""
             return f"IntMatrix.from_rows({self.to_rows()!r}{cols})"
         return f"IntMatrix({self.rows}x{self.cols})"
+
+
+def _side(n) -> int:
+    """A matrix side as an int, checked to be nonnegative."""
+    if (n := index(n)) < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+    return n
 
 
 def _row_dict(row) -> dict:

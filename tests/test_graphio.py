@@ -146,10 +146,10 @@ class TestParseMatrix:
         assert m == IntMatrix.from_rows([[1, 2, 3], [4, -5, 6]])
 
     def test_zero_rows(self):
-        assert parse_matrix("0 4\n") == IntMatrix(0, 4, [])
+        assert parse_matrix("0 4\n") == IntMatrix.from_rows([], cols=4)
 
     def test_zero_columns(self):
-        assert parse_matrix("3 0\n\n\n") == IntMatrix(3, 0, [])
+        assert parse_matrix("3 0\n\n\n") == IntMatrix.from_rows([[], [], []])
         with pytest.raises(ParseError, match="expected 0 entries"):
             parse_matrix("1 0\n5\n")
 

@@ -102,7 +102,7 @@ class TestBlockDecomposition:
         dec = block_decomposition(Graph(["s1", "s2"]))
         assert dec.regular == ()
         assert dec.singular == ("s1", "s2")
-        assert dec.stacked == IntMatrix(2, 0, [])
+        assert dec.stacked == IntMatrix.from_rows([[], []])
 
     def test_partition_and_row_sums_randomized(self):
         for i in range(60):

@@ -79,7 +79,8 @@ def sparse_matrices(draw, max_dim):
             max_size=r * c,
         )
     )
-    return IntMatrix(r, c, [0 if k < zero_share else e for k, e in cells])
+    flat = [0 if k < zero_share else e for k, e in cells]
+    return IntMatrix.from_rows([flat[i * c:(i + 1) * c] for i in range(r)], cols=c)
 
 
 @st.composite
@@ -179,19 +180,26 @@ def assert_snf_contract(m, res):
 
 class TestIntMatrix:
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            IntMatrix(2, 2, [1, 2, 3])
         with pytest.raises(TypeError):
-            IntMatrix(1, 1, [1.5])
+            IntMatrix.from_rows([[1.5]])
         with pytest.raises(ValueError):
-            IntMatrix(-1, 0, [])
+            IntMatrix.from_rows([], cols=-1)
+
+    def test_from_rows_and_identity_are_the_only_constructors(self):
+        # no flat-entries form: the call fails before any matrix exists
+        with pytest.raises(TypeError):
+            IntMatrix(2, 2, [1, 2, 3, 4])
+        assert not hasattr(IntMatrix, "zeros")
+        # each side is stored as the int it stands for
+        for side in (IntMatrix.from_rows([], cols=True).cols, IntMatrix.identity(True).rows):
+            assert type(side) is int and side == 1
 
     def test_zero_dimensional_shapes_are_legal(self):
-        assert IntMatrix(0, 3, []).rows == 0
-        assert IntMatrix(3, 0, []).cols == 0
-        assert IntMatrix.from_rows([], cols=2).transpose() == IntMatrix(2, 0, [])
-        for m in (IntMatrix(0, 3, []), IntMatrix(3, 0, []), IntMatrix(0, 0, []),
-                  IntMatrix.from_rows([[1, 0], [0, -2]])):
+        assert IntMatrix.from_rows([], cols=3).rows == 0
+        assert IntMatrix.from_rows([[], [], []]).cols == 0
+        assert IntMatrix.from_rows([], cols=2).transpose() == IntMatrix.from_rows([[], []])
+        for m in (IntMatrix.from_rows([], cols=3), IntMatrix.from_rows([[], [], []]),
+                  IntMatrix.from_rows([]), IntMatrix.from_rows([[1, 0], [0, -2]])):
             assert eval(repr(m)) == m
 
     def test_matmul(self):
@@ -203,8 +211,8 @@ class TestIntMatrix:
 
     def test_matmul_through_zero_dim(self):
         a = IntMatrix.from_rows([[], []], cols=0)  # 2x0
-        b = IntMatrix(0, 3, [])
-        assert a @ b == IntMatrix.zeros(2, 3)
+        b = IntMatrix.from_rows([], cols=3)
+        assert a @ b == zeros(2, 3)
 
     def test_transpose_involution(self):
         m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
@@ -225,16 +233,16 @@ class TestIntMatrix:
             IntMatrix.from_rows([], cols=-1)
         # rows may be any iterables
         rows = iter([(1, 0), iter([0, 2]), [3, 0]])
-        assert IntMatrix.from_rows(rows) == IntMatrix(3, 2, [1, 0, 0, 2, 3, 0])
+        assert IntMatrix.from_rows(rows) == IntMatrix.from_rows([[1, 0], [0, 2], [3, 0]])
 
     def test_dimensions_must_be_ints(self):
-        # checked at construction, as zeros checks them, not later in transpose
-        for build in (lambda: IntMatrix.from_rows([], cols=2.5), lambda: IntMatrix(0, 2.5, []),
-                      lambda: IntMatrix(2.0, 0, []), lambda: IntMatrix("1", 1, [1])):
+        # checked at construction, not later in transpose
+        for build in (lambda: IntMatrix.from_rows([], cols=2.5), lambda: IntMatrix.identity(2.5),
+                      lambda: IntMatrix.from_rows([], cols="1"), lambda: IntMatrix.identity("1")):
             with pytest.raises(TypeError):
                 build()
         m = IntMatrix.from_rows([], cols=3)
-        assert (m.rows, m.cols, m.transpose()) == (0, 3, IntMatrix(3, 0, []))
+        assert (m.rows, m.cols, m.transpose()) == (0, 3, IntMatrix.from_rows([[], [], []]))
 
     def test_parsing_holds_no_flat_copy(self):
         # 3600 entries: one flat list of them and its tuple copy would add
@@ -251,25 +259,24 @@ class TestIntMatrix:
         assert m.rows == m.cols == 60
         assert peak - held < 100_000
 
-    def test_identity_and_zeros_store_only_their_nonzeros(self):
-        assert IntMatrix.identity(3) == IntMatrix(3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1])
-        assert IntMatrix.zeros(2, 3) == IntMatrix(2, 3, [0] * 6)
-        assert IntMatrix.zeros(0, 3) == IntMatrix(0, 3, [])
-        assert IntMatrix.identity(0) == IntMatrix(0, 0, [])
-        for build in (lambda: IntMatrix.zeros(-1, 2), lambda: IntMatrix.zeros(2, -1),
-                      lambda: IntMatrix.identity(-1)):
-            with pytest.raises(ValueError, match="nonnegative"):
-                build()
+    def test_identity_stores_only_its_nonzeros(self):
+        assert IntMatrix.identity(3) == IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert IntMatrix.identity(0) == IntMatrix.from_rows([])
+        with pytest.raises(ValueError, match="nonnegative"):
+            IntMatrix.identity(-1)
         # a flat list of 4 million entries would peak above 30 MB
-        for build in (lambda: IntMatrix.zeros(2000, 2000), lambda: IntMatrix.identity(2000)):
-            tracemalloc.start()
-            try:
-                m = build()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert m.rows == m.cols == 2000 and stores_no_zero(m)
-            assert peak < 1_000_000
+        tracemalloc.start()
+        try:
+            m = IntMatrix.identity(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.rows == m.cols == 2000 and stores_no_zero(m)
+        assert peak < 1_000_000
+
+
+def zeros(rows, cols):
+    return IntMatrix.from_rows([[0] * cols for _ in range(rows)], cols=cols)
 
 
 def stores_no_zero(m):
@@ -335,8 +342,8 @@ class TestSnfExamples:
         assert res.rank == 3
 
     def test_zero_matrix(self):
-        res = snf(IntMatrix.zeros(2, 3))
-        assert res.s == IntMatrix.zeros(2, 3)
+        res = snf(zeros(2, 3))
+        assert res.s == zeros(2, 3)
         assert res.rank == 0
         assert res.u == IntMatrix.identity(2)
         assert res.v == IntMatrix.identity(3)
@@ -352,9 +359,9 @@ class TestSnfExamples:
 
     def test_zero_dimensional(self):
         for shape in [(0, 0), (0, 4), (4, 0)]:
-            res = snf(IntMatrix.zeros(*shape))
+            res = snf(zeros(*shape))
             assert res.rank == 0
-            assert res.s == IntMatrix.zeros(*shape)
+            assert res.s == zeros(*shape)
 
     @pytest.mark.parametrize("rows,u,s,v", [
         # (2, 3) is not a divisibility chain; the gcd repair makes it (1, 6)
@@ -500,11 +507,11 @@ class TestKernel:
 
     def test_zero_source_map(self):
         # a map out of Z^0 has empty kernel basis
-        assert kernel_basis(IntMatrix(3, 0, [])) == []
+        assert kernel_basis(IntMatrix.from_rows([[], [], []])) == []
 
     def test_map_to_zero_group(self):
         # a map into Z^0 has everything in its kernel
-        basis = kernel_basis(IntMatrix(0, 3, []))
+        basis = kernel_basis(IntMatrix.from_rows([], cols=3))
         assert len(basis) == 3
 
     @given(sparse_matrices(6))
@@ -619,13 +626,13 @@ class TestCokernel:
         assert cokernel(IntMatrix.from_rows([[n - 1]])) == expected
 
     def test_zero_column_matrix(self):
-        assert cokernel(IntMatrix(2, 0, [])) == AbelianGroup(2)
+        assert cokernel(IntMatrix.from_rows([[], []])) == AbelianGroup(2)
 
     def test_hand_smith(self):
         assert cokernel(IntMatrix.from_rows([[0], [1]])) == AbelianGroup(1)
 
     def test_map_to_zero_group(self):
-        assert cokernel(IntMatrix(0, 3, [])) == AbelianGroup(0)
+        assert cokernel(IntMatrix.from_rows([], cols=3)) == AbelianGroup(0)
 
 
 class TestAbelianGroup:

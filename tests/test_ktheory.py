@@ -54,7 +54,7 @@ class TestKGroups:
     def test_loop_fed_by_infinite_emitter(self):
         # stacked map is the 2x1 zero matrix, so K0 = Z^2 and K1 = Z
         r = k_groups(loop_fed_by_infinite_emitter())
-        assert r.stacked_matrix == IntMatrix.zeros(2, 1)
+        assert r.stacked_matrix == IntMatrix.from_rows([[0], [0]])
         assert r.k0 == AbelianGroup(2)
         assert r.k1 == AbelianGroup(1)
 
